@@ -16,16 +16,17 @@ NODE_BUDGET = 2
 TIME_BUDGET = 3
 
 
-def run_dfs(int p, long long q, int max_label, int first_cap,
-            prefix_index, prefix_flat, bint parity_prune,
+def run_dfs(int p, long long q, int first_cap, prefix_index, prefix_flat,
             long long node_budget, long long time_budget_ms):
-    """Complete DFS over vertex-label assignments.
+    """Complete DFS over vertex-label assignments in [0, 2q-1].
 
-    Returns (status, labels_by_position | None, nodes, backtracks, max_depth).
-    Budgets are -1 when unlimited.
+    A position with a placed neighbor only tries values of the opposite
+    parity, since every edge label must be odd.  Returns (status,
+    labels_by_position | None, nodes, backtracks, max_depth).  Budgets are -1
+    when unlimited.
     """
     cdef double t0 = perf_counter()
-    cdef long long odd_total = (max_label + 1) // 2
+    cdef int max_label = 2 * q - 1
     cdef int words = (max_label >> 6) + 1
     cdef int nflat = len(prefix_flat)
 
@@ -53,9 +54,9 @@ def run_dfs(int p, long long q, int max_label, int first_cap,
     for i in range(p):
         last[i] = -1
 
-    cdef long long edges_placed = 0, nodes = 0, backtracks = 0, after = 0
+    cdef long long nodes = 0, backtracks = 0
     cdef int max_depth = 0, pos = 0
-    cdef int cap, lo, hi, deg, start, step, req, x, d, cnt, j
+    cdef int cap, lo, hi, start, step, req, x, d, cnt, j
     cdef bint ok, placed
     cdef int status = -1
     result_labels = None
@@ -65,10 +66,9 @@ def run_dfs(int p, long long q, int max_label, int first_cap,
             cap = first_cap if pos == 0 else max_label
             lo = pidx[pos]
             hi = pidx[pos + 1]
-            deg = hi - lo
             start = last[pos] + 1
             step = 1
-            if parity_prune and deg > 0:
+            if hi > lo:
                 req = (labels[pflat[lo]] & 1) ^ 1
                 if (start & 1) != req:
                     start += 1
@@ -91,17 +91,12 @@ def run_dfs(int p, long long q, int max_label, int first_cap,
                         new_ds[cnt] = d
                         cnt += 1
                     if ok:
-                        after = edges_placed + deg
-                        if odd_total - after < q - after:
-                            ok = False
-                    if ok:
                         if node_budget >= 0 and nodes >= node_budget:
                             status = NODE_BUDGET
                             break
                         labels[pos] = x
                         last[pos] = x
                         used_v[x >> 6] |= (<unsigned long long> 1) << (x & 63)
-                        edges_placed = after
                         nodes += 1
                         if pos + 1 > max_depth:
                             max_depth = pos + 1
@@ -139,7 +134,6 @@ def run_dfs(int p, long long q, int max_label, int first_cap,
                 if d < 0:
                     d = -d
                 used_e[d >> 6] &= ~((<unsigned long long> 1) << (d & 63))
-            edges_placed -= pidx[pos + 1] - pidx[pos]
             backtracks += 1
     finally:
         free(labels); free(last); free(pidx); free(pflat)

@@ -20,20 +20,21 @@ NODE_BUDGET = 2
 TIME_BUDGET = 3
 
 
-def run_dfs(p, q, max_label, first_cap, prefix_index, prefix_flat,
-            parity_prune, node_budget, time_budget_ms):
-    """Complete DFS over vertex-label assignments.
+def run_dfs(p, q, first_cap, prefix_index, prefix_flat, node_budget,
+            time_budget_ms):
+    """Complete DFS over vertex-label assignments in [0, 2q-1].
 
-    Returns (status, labels_by_position | None, nodes, backtracks, max_depth).
-    Budgets are -1 when unlimited.
+    A position with a placed neighbor only tries values of the opposite
+    parity, since every edge label must be odd.  Returns (status,
+    labels_by_position | None, nodes, backtracks, max_depth).  Budgets are -1
+    when unlimited.
     """
     t0 = perf_counter()
-    odd_total = (max_label + 1) // 2
+    max_label = 2 * q - 1
     labels = [0] * p
     last = [-1] * p            # last candidate value tried per position
     used_v = 0                 # vertex-label bitset
     used_e = 0                 # edge-label bitset
-    edges_placed = 0
     nodes = 0
     backtracks = 0
     max_depth = 0
@@ -43,10 +44,9 @@ def run_dfs(p, q, max_label, first_cap, prefix_index, prefix_flat,
         cap = first_cap if pos == 0 else max_label
         lo = prefix_index[pos]
         hi = prefix_index[pos + 1]
-        deg = hi - lo
         start = last[pos] + 1
         step = 1
-        if parity_prune and deg > 0:
+        if hi > lo:
             req = (labels[prefix_flat[lo]] & 1) ^ 1
             if start & 1 != req:
                 start += 1
@@ -69,19 +69,12 @@ def run_dfs(p, q, max_label, first_cap, prefix_index, prefix_flat,
                         break
                     new_bits |= eb
                 if ok:
-                    # counting bound: unused odd labels must cover the edges
-                    # still unplaced after this assignment
-                    after = edges_placed + deg
-                    if odd_total - after < q - after:
-                        ok = False
-                if ok:
                     if node_budget >= 0 and nodes >= node_budget:
                         return (NODE_BUDGET, None, nodes, backtracks, max_depth)
                     labels[pos] = x
                     last[pos] = x
                     used_v |= bit
                     used_e |= new_bits
-                    edges_placed = after
                     nodes += 1
                     if pos + 1 > max_depth:
                         max_depth = pos + 1
@@ -110,5 +103,4 @@ def run_dfs(p, q, max_label, first_cap, prefix_index, prefix_flat,
             if d < 0:
                 d = -d
             used_e &= ~(1 << d)
-        edges_placed -= prefix_index[pos + 1] - prefix_index[pos]
         backtracks += 1

@@ -22,12 +22,7 @@ from .labeling import (MISSING_VERTEX_LABEL, labeling_from_json_obj,
                        labeling_to_json, verify_odd_graceful)
 from .search import SearchConfig, find_odd_graceful
 
-FAMILIES = ("ladder", "sub-ladder", "sub-tri-snake")
-_BUILDERS = {
-    "ladder": ("n", build_theorem1),
-    "sub-ladder": ("n", build_theorem2),
-    "sub-tri-snake": ("k", build_theorem3),
-}
+FAMILIES = ("ladder", "sub-ladder", "sub-tri-snake")  # theorems 1, 2, 3
 _THEOREMS = {
     1: ("n", build_theorem1, label_theorem1, "theorem1"),
     2: ("n", build_theorem2, label_theorem2, "theorem2"),
@@ -69,7 +64,7 @@ def _sidecar_path(out_path: str) -> str:
 
 
 def cmd_gen(args) -> int:
-    param, builder = _BUILDERS[args.family]
+    param, builder, _, _ = _THEOREMS[FAMILIES.index(args.family) + 1]
     value = getattr(args, param)
     if value is None:
         return _fail(f"family {args.family} needs --{param}")
@@ -114,11 +109,11 @@ def cmd_verify(args) -> int:
 
 def cmd_search(args) -> int:
     try:
+        cfg = SearchConfig(node_budget=args.max_nodes,
+                           time_budget_ms=args.timeout_ms)
         g = _load_graph(args.graph)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
-    cfg = SearchConfig(node_budget=args.max_nodes,
-                       time_budget_ms=args.timeout_ms)
     try:
         outcome = find_odd_graceful(g, cfg)
     except ValueError as exc:
@@ -251,13 +246,14 @@ def _load_expected(path: str):
 
 
 def cmd_sweep(args) -> int:
+    node_budget = (args.max_nodes if args.max_nodes is not None
+                   else SWEEP_DEFAULT_NODE_BUDGET)
     try:
+        SearchConfig(node_budget=node_budget)  # rejects a negative budget
         instances = parse_grid(args.grid)
         expected = _load_expected(args.expected) if args.expected else None
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    node_budget = (args.max_nodes if args.max_nodes is not None
-                   else SWEEP_DEFAULT_NODE_BUDGET)
     rows = build_sweep_rows(instances, args.search_policy, node_budget)
     _write_text(args.out, rows_to_csv(rows))
     if expected is None:

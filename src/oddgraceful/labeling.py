@@ -178,24 +178,21 @@ def is_odd_graceful(g: Graph, labels: Labeling) -> bool:
     failure short-circuits, no report is built."""
     q = g.q
     max_label = 2 * q - 1 if q > 0 else 0
-    seen = 0
+    seen = bytearray(max_label + 1)
     for v in range(g.p):
         x = labels.get(v)
-        if x is None or not (0 <= x <= max_label):
+        if x is None or not (0 <= x <= max_label) or seen[x]:
             return False
-        bit = 1 << x
-        if seen & bit:
-            return False
-        seen |= bit
-    used = 0
+        seen[x] = 1
+    # every label is now in [0, max_label], so every difference is too
+    used = bytearray(max_label + 1)
     for a, b in g.edges:
         d = labels[a] - labels[b]
         if d < 0:
             d = -d
-        bit = 1 << d
-        if not (d & 1) or used & bit:
+        if not (d & 1) or used[d]:
             return False
-        used |= bit
+        used[d] = 1
     return True
 
 

@@ -7,15 +7,14 @@ independent oracle: it never consults the closed-form labelers.
 
 Two interchangeable kernels implement the inner loop: a compiled extension
 (_dfs_core) and a pure-Python fallback (_dfs_py).  The compiled kernel is
-selected at import when available; set ODDGRACEFUL_PURE=1 to force the
-fallback.  Both produce identical outcomes and statistics.
+selected at import when available.  Both produce identical outcomes and
+statistics.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Optional
 
@@ -24,13 +23,10 @@ from .canon import canonical_dumps
 from .graphs import Graph
 from .labeling import Labeling, verify_odd_graceful
 
-if os.environ.get("ODDGRACEFUL_PURE"):
+try:
+    from . import _dfs_core as _kernel_default  # type: ignore[no-redef]
+except ImportError:
     _kernel_default = _dfs_py
-else:
-    try:
-        from . import _dfs_core as _kernel_default  # type: ignore[no-redef]
-    except ImportError:
-        _kernel_default = _dfs_py
 
 
 def engine_name() -> str:
@@ -40,18 +36,17 @@ def engine_name() -> str:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Knobs for find_odd_graceful.
+    """Budgets for find_odd_graceful: None means unlimited, 0 stops before
+    the first placement, negative values are rejected."""
 
-    max_label defaults to 2q-1 and is clamped there (larger values cannot
-    help: every valid labeling fits in [0, 2q-1]).  Budgets of None mean
-    unlimited.  The pruning flags never change verdicts, only effort.
-    """
-
-    max_label: Optional[int] = None
     node_budget: Optional[int] = None
     time_budget_ms: Optional[int] = None
-    use_parity_prune: bool = True
-    use_complement_symmetry: bool = True
+
+    def __post_init__(self):
+        for name in ("node_budget", "time_budget_ms"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -140,12 +135,12 @@ def find_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig(),
     """Find an odd-graceful labeling of g or certify that none exists.
 
     Complete depth-first search with ascending value order.  Pruning: a new
-    edge label that is even or already used kills the branch; unused odd
-    labels must still cover the unplaced edges; optionally, candidate values
-    are restricted to the parity forced by an already-placed neighbor, and
-    the first placed vertex of a connected graph is capped at q-1 (the
-    complement transform maps any solution to one satisfying the cap, so no
-    verdict is lost).  Every found labeling is re-verified before return.
+    edge label that is even or already used kills the branch; candidate
+    values are restricted to the parity forced by an already-placed
+    neighbor; and the first placed vertex of a connected graph is capped at
+    q-1 (the complement transform maps any solution to one satisfying the
+    cap, so no verdict is lost).  Every found labeling is re-verified before
+    return.
     """
     if g.p == 0:
         raise ValueError("cannot search the empty graph")
@@ -165,19 +160,13 @@ def find_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig(),
 
     order, connected = _bfs_order(g)
     prefix_index, prefix_flat = _prefix_csr(g, order)
-    max_label = 2 * q - 1
-    if cfg.max_label is not None:
-        max_label = min(cfg.max_label, 2 * q - 1)
-    if connected and cfg.use_complement_symmetry:
-        first_cap = min(max_label, q - 1)
-    else:
-        first_cap = max_label
+    first_cap = q - 1 if connected else 2 * q - 1
     node_budget = -1 if cfg.node_budget is None else cfg.node_budget
     time_budget = -1 if cfg.time_budget_ms is None else cfg.time_budget_ms
 
     status, pos_labels, nodes, backtracks, max_depth = kernel.run_dfs(
-        g.p, q, max_label, first_cap, prefix_index, prefix_flat,
-        cfg.use_parity_prune, node_budget, time_budget)
+        g.p, q, first_cap, prefix_index, prefix_flat, node_budget,
+        time_budget)
 
     elapsed = int((perf_counter() - t0) * 1000)
     stats = SearchStats(nodes, backtracks, elapsed, max_depth)

@@ -145,6 +145,20 @@ def test_search_found_and_none_and_budget(tmp_path, capsys):
     assert obj["outcome"] == "inconclusive" and obj["reason"] == "node-budget"
 
 
+def test_search_negative_node_budget_rejected(tmp_path, capsys):
+    c4 = write_graph(tmp_path, cycle_graph(4), "c4.json")
+    code, out, err = run(capsys, "search", str(c4), "--max-nodes", "-5")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_search_negative_timeout_rejected(tmp_path, capsys):
+    c4 = write_graph(tmp_path, cycle_graph(4), "c4.json")
+    code, out, err = run(capsys, "search", str(c4), "--timeout-ms", "-1")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_search_parse_failure(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -219,6 +233,15 @@ def test_sweep_malformed_grid(tmp_path, capsys):
     code, _, _ = run(capsys, "sweep", "--grid", "nope",
                      "--out", str(tmp_path / "s.csv"))
     assert code == 2
+
+
+def test_sweep_negative_node_budget_rejected(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    code, _, err = run(capsys, "sweep", "--grid", "theorem1:n=2,m=1",
+                       "--search-policy", "never", "--max-nodes", "-1",
+                       "--out", str(out))
+    assert code == 2 and not out.exists()
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_sweep_deterministic(tmp_path, capsys):

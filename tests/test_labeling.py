@@ -180,7 +180,7 @@ def graph_and_labels(draw):
                  if pairs else st.just([]))
     g = Graph([V(i + 1) for i in range(p)], edges)
     top = max(2 * g.q - 1, 1)
-    labels = {v: draw(st.integers(min_value=0, max_value=top + 2))
+    labels = {v: draw(st.integers(min_value=-2, max_value=top + 2))
               for v in range(p) if draw(st.booleans())}
     return g, labels
 

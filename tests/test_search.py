@@ -1,5 +1,9 @@
-"""Search engine: corpus verdicts, oracle agreement, pruning neutrality,
-budgets, determinism, and kernel equivalence."""
+"""Search engine: corpus verdicts, oracle agreement, budgets, determinism,
+and kernel equivalence."""
+
+import inspect
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -70,34 +74,15 @@ def test_found_labelings_pass_verifier():
             assert verify_odd_graceful(g, outcome.labeling).ok, name
 
 
-def test_pruning_flags_never_change_verdicts():
-    for name, g in corpus().items():
-        verdicts = set()
-        for pp in (True, False):
-            for cs in (True, False):
-                cfg = SearchConfig(use_parity_prune=pp,
-                                   use_complement_symmetry=cs)
-                verdicts.add(find_odd_graceful(g, cfg).status)
-        assert verdicts == {VERDICTS[name]}, name
-
-
 def test_complement_symmetry_first_label_capped():
     # BFS roots at the smallest max-degree id, so vertex 0 is placed first
     outcome = find_odd_graceful(cycle_graph(4))
     assert outcome.labeling[0] <= cycle_graph(4).q - 1
-    # the cap loses no verdicts (flag-neutrality test) but does cut work
-    base = find_odd_graceful(cycle_graph(5))
-    free = find_odd_graceful(
-        cycle_graph(5), SearchConfig(use_complement_symmetry=False))
-    assert base.status == free.status == "none"
-    assert base.stats.nodes_expanded < free.stats.nodes_expanded
 
 
 def test_non_bipartite_always_none():
     for g in (cycle_graph(3), cycle_graph(7), triangular_snake(3)):
-        for pp in (True, False):
-            outcome = find_odd_graceful(g, SearchConfig(use_parity_prune=pp))
-            assert outcome.status == "none"
+        assert find_odd_graceful(g).status == "none"
 
 
 def test_determinism_including_stats():
@@ -157,14 +142,6 @@ def test_disconnected_graph_searched():
     outcome = find_odd_graceful(g)
     assert outcome.status == "found"
     assert verify_odd_graceful(g, outcome.labeling).ok
-    # complement symmetry is disabled automatically on disconnected input,
-    # so toggling the flag changes nothing, including discrete statistics
-    off = find_odd_graceful(g, SearchConfig(use_complement_symmetry=False))
-    assert outcome.labeling == off.labeling
-    assert (outcome.stats.nodes_expanded, outcome.stats.backtracks,
-            outcome.stats.max_depth) == (off.stats.nodes_expanded,
-                                         off.stats.backtracks,
-                                         off.stats.max_depth)
 
 
 def test_single_vertex_and_empty():
@@ -178,17 +155,11 @@ def test_single_vertex_and_empty():
     assert exhaustive_oracle(two_isolated).status == "none"
 
 
-def test_max_label_clamped():
-    g = cycle_graph(4)
-    a = find_odd_graceful(g)
-    b = find_odd_graceful(g, SearchConfig(max_label=100))
-    assert a.status == b.status and a.labeling == b.labeling
-
-
-def test_restricted_max_label_certifies_none():
-    # labels capped below 2q-1 can never attain edge label 2q-1
-    outcome = find_odd_graceful(cycle_graph(4), SearchConfig(max_label=5))
-    assert outcome.status == "none"
+def test_negative_budgets_rejected():
+    with pytest.raises(ValueError):
+        SearchConfig(node_budget=-5)
+    with pytest.raises(ValueError):
+        SearchConfig(time_budget_ms=-1)
 
 
 def test_outcome_json_shape():
@@ -202,6 +173,18 @@ def test_outcome_json_shape():
                                  "max_depth"}
 
 
+def test_compiled_kernel_source_matches_pure_kernel():
+    # tier-1 runs without Cython, so compare the .pyx text with _dfs_py
+    pyx = (Path(_dfs_py.__file__).with_name("_dfs_core.pyx")
+           .read_text(encoding="utf-8"))
+    header = re.search(r"^def run_dfs\(([^)]*)\):", pyx, re.M)
+    params = [arg.split()[-1] for arg in header.group(1).split(",")]
+    assert params == list(inspect.signature(_dfs_py.run_dfs).parameters)
+    constants = dict(re.findall(r"^([A-Z_]+) = (\d+)$", pyx, re.M))
+    assert constants == {name: str(getattr(_dfs_py, name)) for name in
+                         ("FOUND", "EXHAUSTED", "NODE_BUDGET", "TIME_BUDGET")}
+
+
 @needs_compiled
 def test_kernels_produce_identical_outcomes_and_stats():
     graphs = list(corpus().values()) + [
@@ -209,8 +192,7 @@ def test_kernels_produce_identical_outcomes_and_stats():
         Graph([V(1), V(2), V(3), V(4)], [(0, 1), (2, 3)]),
     ]
     for g in graphs:
-        for cfg in (SearchConfig(), SearchConfig(use_parity_prune=False),
-                    SearchConfig(node_budget=25)):
+        for cfg in (SearchConfig(), SearchConfig(node_budget=25)):
             a = find_odd_graceful(g, cfg, _kernel=_dfs_py)
             b = find_odd_graceful(g, cfg, _kernel=_dfs_core)
             assert a.status == b.status and a.reason == b.reason
@@ -238,6 +220,9 @@ def test_engine_agrees_with_oracle_on_random_graphs(g):
     assert engine.status == oracle.status
     if engine.status == "found":
         assert verify_odd_graceful(g, engine.labeling).ok
+        if g.q:
+            # edge label 2q-1 forces both ends of the label range
+            assert {0, 2 * g.q - 1} <= set(engine.labeling.values())
 
 
 @needs_compiled
