@@ -17,7 +17,8 @@ from time import perf_counter
 
 from .canon import canonical_dumps
 from .formulas import label_theorem1, label_theorem2, label_theorem3
-from .graphs import (Graph, build_theorem1, build_theorem2, build_theorem3)
+from .graphs import (Graph, build_theorem1, build_theorem2, build_theorem3,
+                     check_theorem_domain)
 from .labeling import (MISSING_VERTEX_LABEL, labeling_from_json_obj,
                        labeling_to_json, verify_odd_graceful)
 from .search import SearchConfig, find_odd_graceful
@@ -49,9 +50,16 @@ def _load_graph(path: str) -> Graph:
     return Graph.from_json_obj(_load_json(path))
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def _write_outputs(*files) -> int:
+    """Write (path, text) pairs.  Returns exit status 0, or 2 with an error
+    line when a path cannot be written."""
+    try:
+        for path, text in files:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+    except OSError as exc:
+        return _fail(str(exc))
+    return 0
 
 
 def _sidecar_path(out_path: str) -> str:
@@ -72,8 +80,7 @@ def cmd_gen(args) -> int:
         g = builder(value, args.m)
     except ValueError as exc:
         return _fail(str(exc))
-    _write_text(args.out, g.to_json())
-    return 0
+    return _write_outputs((args.out, g.to_json()))
 
 
 def cmd_label(args) -> int:
@@ -86,9 +93,8 @@ def cmd_label(args) -> int:
         labels, interp = labeler(value, args.m)
     except ValueError as exc:
         return _fail(str(exc))
-    _write_text(args.out, labeling_to_json(g, labels))
-    _write_text(_sidecar_path(args.out), interp.to_json())
-    return 0
+    return _write_outputs((args.out, labeling_to_json(g, labels)),
+                          (_sidecar_path(args.out), interp.to_json()))
 
 
 def cmd_verify(args) -> int:
@@ -130,7 +136,8 @@ def parse_grid(spec: str):
     """Grid spec: semicolon-separated clauses 'theorem1:n=2..10,m=1..5'.
 
     theorem1/theorem2 take n, theorem3 takes k.  Ranges are 'lo..hi' or a
-    single integer.  Returns a list of (theorem_number, param_value, m).
+    single integer, and must lie in the theorem's domain (n >= 2, k >= 1,
+    m >= 1).  Returns a list of (theorem_number, param_value, m).
     """
     def parse_range(text):
         if ".." in text:
@@ -161,6 +168,11 @@ def parse_grid(spec: str):
             ranges[key] = parse_range(value)
         if expected_param not in ranges or "m" not in ranges:
             raise ValueError(f"{name} needs {expected_param}= and m= ranges")
+        try:
+            check_theorem_domain(number, ranges[expected_param][0],
+                                 ranges["m"][0])
+        except ValueError as exc:
+            raise ValueError(f"grid clause {clause!r}: {exc}") from None
         for a in ranges[expected_param]:
             for m in ranges["m"]:
                 instances.append((number, a, m))
@@ -188,11 +200,11 @@ def build_sweep_rows(instances, policy: str, node_budget: int):
             verdict = f"partial({len(interp.uncovered)})"
         else:
             verdict = "fail"
-        uncovered_ids = {g.tag_index()[str(t)] for t in interp.uncovered}
+        uncovered = set(interp.uncovered)
         first = ""
         for violation in report.violations:
             if (violation.kind == MISSING_VERTEX_LABEL
-                    and violation.vertex_ids[0] in uncovered_ids):
+                    and g.tags[violation.vertex_ids[0]] in uncovered):
                 continue  # already summarized by the partial verdict
             first = violation.short(g)
             break
@@ -255,9 +267,9 @@ def cmd_sweep(args) -> int:
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
     rows = build_sweep_rows(instances, args.search_policy, node_budget)
-    _write_text(args.out, rows_to_csv(rows))
-    if expected is None:
-        return 0
+    code = _write_outputs((args.out, rows_to_csv(rows)))
+    if code or expected is None:
+        return code
     mismatches = []
     seen = {(r["family"], r["n_or_k"], r["m"]): r["closed_form_verdict"]
             for r in rows}

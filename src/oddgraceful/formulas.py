@@ -15,6 +15,11 @@ y-pendants uncovered and collides edge labels for k >= 2).  apply_repairs
 quarantines conjectured corrections for the hole- and typo-class defects;
 each applied repair is recorded as a note.  Labelers never verify their own
 output, callers run verify_odd_graceful as a separate step.
+
+Labelers build no graph: q comes from each family's closed form and vertex
+ids from the canonical id order of build_theorem1/2/3 (see graphs.py), with
+pendant j of the vertex with id x at P0 + x*m + j - 1, where P0 is the
+number of skeleton vertices.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from .canon import canonical_dumps
-from .graphs import Graph, Tag, build_theorem1, build_theorem2, build_theorem3
+from .graphs import Tag, Y, check_theorem_domain, pendant
 
 Labeling = Dict[int, int]
 
@@ -97,19 +102,21 @@ def label_theorem1(n: int, m: int, apply_repairs: bool = False,
     even-row edge label once i reaches 5; apply_repairs swaps it for the
     conjectured row (2m+1)i + 2j - 2m - 2.
     """
-    g = build_theorem1(n, m)
-    q = g.q
-    idx = g.tag_index()
+    check_theorem_domain(1, n, m)
+    q = 2 * m * n + 3 * n - 2
+    p0 = 2 * n
     lab: Labeling = {}
     repaired = False
 
     for i in range(1, n + 1):
+        u, v = i - 1, n + i - 1
         if i % 2 == 1:
-            lab[idx[f"v{i}"]] = i - 1
-            lab[idx[f"u{i}"]] = 2 * q - i - 2 * n + 2
+            lab[v] = i - 1
+            lab[u] = 2 * q - i - 2 * n + 2
         else:
-            lab[idx[f"v{i}"]] = 2 * q - i + 1
-            lab[idx[f"u{i}"]] = 2 * n + i - 2
+            lab[v] = 2 * q - i + 1
+            lab[u] = 2 * n + i - 2
+        pu0, pv0 = p0 + u * m - 1, p0 + v * m - 1  # pendant j: pu0 + j
         for j in range(1, m + 1):
             if i == 1:
                 pv = 2 * j - 1
@@ -121,12 +128,12 @@ def label_theorem1(n: int, m: int, apply_repairs: bool = False,
                     pv = 2 * m * (i - 1) + 2 * j + 1
             else:
                 pv = 2 * q - (2 * m + 1) * i - 2 * j + 2 * m + 2
-            lab[idx[f"p(v{i},{j})"]] = pv
+            lab[pv0 + j] = pv
             if i % 2 == 1:
                 pu = 2 * q - (2 * m + 1) * i - 2 * j - (2 * m + 2) * n + 2 * m + 3
             else:
                 pu = 2 * q + (2 * m + 1) * i + 2 * j - (2 * m + 4) * n - 2 * m + 1
-            lab[idx[f"p(u{i},{j})"]] = pu
+            lab[pu0 + j] = pu
 
     notes = [_NOTE_T1_V_BASE]
     if repaired:
@@ -144,18 +151,21 @@ def label_theorem2(n: int, m: int, apply_repairs: bool = False,
     apply_repairs swaps it for the conjectured row 2q - 6n + 4i + 1, which
     coincides with the declared row exactly at n=3.
     """
-    g = build_theorem2(n, m)
-    q = g.q
-    idx = g.tag_index()
+    check_theorem_domain(2, n, m)
+    q = m * (5 * n - 2) + 2 * (3 * n - 2)
+    side = 2 * n - 1
+    p0 = 5 * n - 2
     lab: Labeling = {}
 
-    for i in range(1, 2 * n):
+    for i in range(1, side + 1):
+        u, v = i - 1, side + i - 1
         if i % 2 == 1:
-            lab[idx[f"v{i}"]] = i - 1
-            lab[idx[f"u{i}"]] = i + 2 * n - 1
+            lab[v] = i - 1
+            lab[u] = i + 2 * n - 1
         else:
-            lab[idx[f"v{i}"]] = 2 * q - i + 1
-            lab[idx[f"u{i}"]] = 2 * q - i - 6 * n + 5
+            lab[v] = 2 * q - i + 1
+            lab[u] = 2 * q - i - 6 * n + 5
+        pu0, pv0 = p0 + u * m - 1, p0 + v * m - 1  # pendant j: pu0 + j
         for j in range(1, m + 1):
             if i % 2 == 1:
                 pv = (2 * m + 1) * i + 2 * j - 2 * m - 2
@@ -163,17 +173,18 @@ def label_theorem2(n: int, m: int, apply_repairs: bool = False,
             else:
                 pv = 2 * q - (2 * m + 1) * i - 2 * j + 2 * m + 2
                 pu = q - (2 * m + 1) * i - 2 * j - m * n + 2 * m + 2
-            lab[idx[f"p(v{i},{j})"]] = pv
-            lab[idx[f"p(u{i},{j})"]] = pu
+            lab[pv0 + j] = pv
+            lab[pu0 + j] = pu
 
     for i in range(1, n + 1):
+        w = 2 * side + i - 1
         if apply_repairs:
-            lab[idx[f"w{i}"]] = 2 * q - 6 * n + 4 * i + 1
+            lab[w] = 2 * q - 6 * n + 4 * i + 1
         else:
-            lab[idx[f"w{i}"]] = 2 * q - 1 - 4 * n + 4 * (i - 1)
+            lab[w] = 2 * q - 1 - 4 * n + 4 * (i - 1)
+        pw0 = p0 + w * m - 1
         for j in range(1, m + 1):
-            lab[idx[f"p(w{i},{j})"]] = (
-                2 * q + (2 * m + 4) * i + 2 * j - (6 * m + 6) * n)
+            lab[pw0 + j] = 2 * q + (2 * m + 4) * i + 2 * j - (6 * m + 6) * n
 
     notes = [_NOTE_T2_RUNGS]
     if apply_repairs and n != 3:  # at n=3 the two w rows coincide
@@ -215,56 +226,67 @@ def label_theorem3(k: int, m: int, apply_repairs: bool = False,
     they never touch covered rows and do not resolve the value collisions
     between covered rows that keep k >= 2 failing verification.
     """
-    g = build_theorem3(k, m)
-    q = g.q
-    idx = g.tag_index()
+    check_theorem_domain(3, k, m)
+    q = (5 * m + 6) * k + m
+    p0 = 5 * k + 1
     lab: Labeling = {}
     a4 = 4 * m + 4
     b = 2 * m + 4
 
+    def pendants(x):  # pendant l of the vertex with id x is pendants(x) + l
+        return p0 + x * m - 1
+
+    # ids: u_i = i-1, v_i = k+i, w_i = 2k+i, y_i = 3k+i, z_i = 4k+i
     for i in range(1, k + 2):
-        lab[idx[f"u{i}"]] = a4 * (i - 1)
+        lab[i - 1] = a4 * (i - 1)
     for i in range(1, k + 1):
-        lab[idx[f"w{i}"]] = a4 * i - 2 * m - 2
-        lab[idx[f"v{i}"]] = 2 * q - b * i + 2 * m + 3
-        lab[idx[f"z{i}"]] = 2 * q - b * i + 1
-        lab[idx[f"y{i}"]] = a4 * k - a4 * i + 4 * m + 3
+        v, w, y, z = k + i, 2 * k + i, 3 * k + i, 4 * k + i
+        lab[w] = a4 * i - 2 * m - 2
+        lab[v] = 2 * q - b * i + 2 * m + 3
+        lab[z] = 2 * q - b * i + 1
+        lab[y] = a4 * k - a4 * i + 4 * m + 3
 
     for i in range(1, k + 1):
+        pw0, pv0 = pendants(2 * k + i), pendants(k + i)
+        pz0 = pendants(4 * k + i)
         for l in range(1, m + 1):
-            lab[idx[f"p(w{i},{l})"]] = 2 * q - b * i - 2 * l + 2 * m + 3
-            lab[idx[f"p(v{i},{l})"]] = a4 * i + 2 * l - 4 * m - 4
-            lab[idx[f"p(z{i},{l})"]] = a4 * i + 2 * l - 2 * m - 2
+            lab[pw0 + l] = 2 * q - b * i - 2 * l + 2 * m + 3
+            lab[pv0 + l] = a4 * i + 2 * l - 4 * m - 4
+            lab[pz0 + l] = a4 * i + 2 * l - 2 * m - 2
 
+    # pendants of u1, u(k+1) and y_k
+    pu1, puk1, pyk = pendants(0), pendants(k), pendants(4 * k)
     for l in range(1, m + 1):
-        lab[idx[f"p(u1,{l})"]] = 2 * l + 1
-        lab[idx[f"p(u{k + 1},{l})"]] = 2 * q - 2 * l - b * (k + 1) + 2 * m + 5
-        lab[idx[f"p(y{k},{l})"]] = 2 * q - 2 * l - b * k - 2 * m - 2
+        lab[pu1 + l] = 2 * l + 1
+        lab[puk1 + l] = 2 * q - 2 * l - b * (k + 1) + 2 * m + 5
+        lab[pyk + l] = 2 * q - 2 * l - b * k - 2 * m - 2
 
     # interior u-pendants: same-parity (i, k) rows carry -m-1, mixed -m+1
     for i in range(2, k + 1):
         head = q + (2 * m + 2) * i - (3 * m + 4) * k - m
         delta = -1 if (i - k) % 2 == 0 else 1
+        pu0 = pendants(i - 1)
         for l in range(1, m + 1):
-            lab[idx[f"p(u{i},{l})"]] = head - 2 * l + delta
+            lab[pu0 + l] = head - 2 * l + delta
 
     uncovered = []
     repaired = []
     for i in range(1, k):  # interior y indices; y_k already assigned
+        py0 = pendants(3 * k + i)
         if _theorem3_y_row(q, k, m, i, 1) is not None:
             for l in range(1, m + 1):
-                lab[idx[f"p(y{i},{l})"]] = _theorem3_y_row(q, k, m, i, l)
+                lab[py0 + l] = _theorem3_y_row(q, k, m, i, l)
             continue
         repair_top = k - 1 if k % 2 == 0 else k - 2
         if apply_repairs and i % 2 == 1 and i <= repair_top:
             base_bump = 0 if k % 2 == 0 else 2
             for l in range(1, m + 1):
-                lab[idx[f"p(y{i},{l})"]] = (
+                lab[py0 + l] = (
                     q - (2 * m + 2) * i + (k + 1) * m - 2 * l + base_bump)
             repaired.append(i)
         else:
             for l in range(1, m + 1):
-                uncovered.append(g.tags[idx[f"p(y{i},{l})"]])
+                uncovered.append(pendant(Y(i), l))
 
     notes = [_NOTE_T3_SAME_FN, _NOTE_T3_U_BASE, _NOTE_T3_Y_TAIL,
              _NOTE_T3_Y_BRACKET]

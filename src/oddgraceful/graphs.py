@@ -7,6 +7,11 @@ u vertices by index, then v, w, y, z, then pendants grouped by parent
 (parents in id order, pendant index ascending).  Graphs are immutable once
 built, and identical parameters always produce identical vertex orderings
 and edge sets.
+
+The closed-form labelers in formulas.py compute vertex ids from this order
+by arithmetic instead of building the graph and looking tags up, so
+build_theorem1/2/3 must keep it exactly: changing it changes every
+labeling they produce.
 """
 
 from __future__ import annotations
@@ -219,27 +224,50 @@ class Graph:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "Graph":
+        """Parse a graph document, raising ValueError on anything malformed.
+
+        Ids and edge endpoints must be ints (bools and floats are rejected),
+        vertex entries objects with a string tag, and tags unique.
+        """
         if not isinstance(obj, dict):
             raise ValueError("graph document must be a JSON object")
-        try:
-            vertices = obj["vertices"]
-            edges = obj["edges"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError("graph document needs 'vertices' and 'edges'") from exc
+        vertices, edges = obj.get("vertices"), obj.get("edges")
+        if not isinstance(vertices, list) or not isinstance(edges, list):
+            raise ValueError(
+                "graph document needs 'vertices' and 'edges' arrays")
         tags = []
+        seen_tags = set()
         for i, entry in enumerate(vertices):
-            if entry.get("id") != i:
+            if not isinstance(entry, dict):
+                raise ValueError(f"vertex entry {i} is not an object")
+            if not _is_int(entry.get("id")) or entry["id"] != i:
                 raise ValueError("vertex ids must be dense 0..p-1 in order")
-            tags.append(parse_tag(entry["tag"]))
+            text = entry.get("tag")
+            if not isinstance(text, str):
+                raise ValueError(f"vertex {i} needs a string tag")
+            if text in seen_tags:
+                raise ValueError(f"duplicate vertex tag {text!r}")
+            seen_tags.add(text)
+            tags.append(parse_tag(text))
+        pairs = []
+        for e in edges:
+            if not (isinstance(e, list) and len(e) == 2
+                    and _is_int(e[0]) and _is_int(e[1])):
+                raise ValueError(f"edge {e!r} is not a pair of vertex ids")
+            pairs.append((e[0], e[1]))
         fam = obj.get("family")
         family = Family.from_json_obj(fam) if fam is not None else None
-        return Graph(tags, [tuple(e) for e in edges], family)
+        return Graph(tags, pairs, family)
 
     @staticmethod
     def from_json(text: str) -> "Graph":
         import json
 
         return Graph.from_json_obj(json.loads(text))
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 # -- basic constructions ---------------------------------------------------
@@ -281,10 +309,8 @@ def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     return Graph(tags, edges)
 
 
-def ladder(n: int) -> Graph:
-    """Two parallel paths u1..un and v1..vn joined by rungs ui-vi."""
-    if n < 2:
-        raise ValueError("ladder needs n >= 2")
+def _ladder_parts(n: int):
+    """Tags and edges of the ladder on n rungs (n >= 2)."""
     tags = [U(i) for i in range(1, n + 1)] + [V(i) for i in range(1, n + 1)]
     edges = []
     for i in range(n - 1):
@@ -292,28 +318,41 @@ def ladder(n: int) -> Graph:
         edges.append((n + i, n + i + 1))  # v path
     for i in range(n):
         edges.append((i, n + i))          # rungs
+    return tags, edges
+
+
+def ladder(n: int) -> Graph:
+    """Two parallel paths u1..un and v1..vn joined by rungs ui-vi."""
+    if n < 2:
+        raise ValueError("ladder needs n >= 2")
+    tags, edges = _ladder_parts(n)
     return Graph(tags, edges, Family("ladder", n=n, m=0))
+
+
+def _append_pendants(tags: list, edges: list, m: int) -> None:
+    """Append m pendant vertices and edges to every vertex in tags, grouped
+    by parent in parent id order with pendant index ascending, so pendant j
+    of vertex x gets id p + x*m + j - 1.  Parents that are already pendants
+    get generic parent tags so pendant tags never nest."""
+    for v in range(len(tags)):
+        t = tags[v]
+        parent_tag = t if t.kind != "p" else generic(str(t))
+        for j in range(1, m + 1):
+            edges.append((v, len(tags)))
+            tags.append(pendant(parent_tag, j))
 
 
 def corona_pendants(g: Graph, m: int) -> Graph:
     """Attach m new degree-1 vertices to every vertex of g.
 
-    Pendants are appended after the original vertices, grouped by parent in
-    parent id order with pendant index ascending.  Parents that are already
-    pendants get generic parent tags so pendant tags never nest.
+    Pendants are appended after the original vertices (see
+    _append_pendants).  With m = 0 the result equals g, family included.
     """
     if m < 0:
         raise ValueError("pendant count must be >= 0")
-    if m == 0:
-        return Graph(g.tags, g.edges, g.family)
-    tags = list(g.tags)
-    edges = list(g.edges)
-    for v, t in enumerate(g.tags):
-        parent_tag = t if t.kind != "p" else generic(str(t))
-        for j in range(1, m + 1):
-            tags.append(pendant(parent_tag, j))
-            edges.append((v, len(tags) - 1))
-    return Graph(tags, edges)
+    tags, edges = list(g.tags), list(g.edges)
+    _append_pendants(tags, edges, m)
+    return Graph(tags, edges, g.family if m == 0 else None)
 
 
 def subdivide(g: Graph) -> Graph:
@@ -348,18 +387,31 @@ def triangular_snake(k: int) -> Graph:
 
 # -- the three pendant families --------------------------------------------
 
+# theorem number -> (name of its size parameter, least value); every theorem
+# also needs m >= 1
+_THEOREM_DOMAINS = {1: ("n", 2), 2: ("n", 2), 3: ("k", 1)}
+
+
+def check_theorem_domain(number: int, a: int, m: int) -> None:
+    """Raise ValueError unless theorem `number` is defined at size a and m
+    pendants per vertex."""
+    param, least = _THEOREM_DOMAINS[number]
+    if a < least:
+        raise ValueError(f"theorem{number} needs {param} >= {least}")
+    if m < 1:
+        raise ValueError(f"theorem{number} needs m >= 1")
+
 
 def build_theorem1(n: int, m: int) -> Graph:
     """Ladder on n rungs with m pendant edges on every vertex.
 
+    Ids: u_i = i-1, v_i = n+i-1, pendants from 2n.
     p = 2n(m+1), q = 2mn + 3n - 2.
     """
-    if n < 2:
-        raise ValueError("build_theorem1 needs n >= 2")
-    if m < 1:
-        raise ValueError("build_theorem1 needs m >= 1")
-    g = corona_pendants(ladder(n), m)
-    return Graph(g.tags, g.edges, Family("ladder", n=n, m=m))
+    check_theorem_domain(1, n, m)
+    tags, edges = _ladder_parts(n)
+    _append_pendants(tags, edges, m)
+    return Graph(tags, edges, Family("ladder", n=n, m=m))
 
 
 def build_theorem2(n: int, m: int) -> Graph:
@@ -367,12 +419,11 @@ def build_theorem2(n: int, m: int) -> Graph:
 
     The side paths become u1..u(2n-1) and v1..v(2n-1); each original rung
     gains a midpoint, so rungs exist only at odd path positions 2j-1 and the
-    midpoints are w1..wn.  p = (5n-2)(m+1), q = m(5n-2) + 2(3n-2).
+    midpoints are w1..wn.  With side = 2n-1, ids are u_i = i-1,
+    v_i = side+i-1, w_j = 2*side+j-1, pendants from 5n-2.
+    p = (5n-2)(m+1), q = m(5n-2) + 2(3n-2).
     """
-    if n < 2:
-        raise ValueError("build_theorem2 needs n >= 2")
-    if m < 1:
-        raise ValueError("build_theorem2 needs m >= 1")
+    check_theorem_domain(2, n, m)
     side = 2 * n - 1
     tags = ([U(i) for i in range(1, side + 1)]
             + [V(i) for i in range(1, side + 1)]
@@ -387,21 +438,19 @@ def build_theorem2(n: int, m: int) -> Graph:
         w_id = 2 * side + j - 1
         edges.append((u_id, w_id))
         edges.append((w_id, v_id))
-    g = corona_pendants(Graph(tags, edges), m)
-    return Graph(g.tags, g.edges, Family("sub-ladder", n=n, m=m))
+    _append_pendants(tags, edges, m)
+    return Graph(tags, edges, Family("sub-ladder", n=n, m=m))
 
 
 def build_theorem3(k: int, m: int) -> Graph:
     """Subdivided triangular snake with m pendant edges on every vertex.
 
     Block i of the subdivided snake contributes the six edges ui-yi,
-    yi-u(i+1), ui-vi, vi-wi, wi-zi, zi-u(i+1).  p = (5k+1)(m+1),
-    q = (5m+6)k + m.
+    yi-u(i+1), ui-vi, vi-wi, wi-zi, zi-u(i+1).  Ids: u_i = i-1 (i <= k+1),
+    v_i = k+i, w_i = 2k+i, y_i = 3k+i, z_i = 4k+i, pendants from 5k+1.
+    p = (5k+1)(m+1), q = (5m+6)k + m.
     """
-    if k < 1:
-        raise ValueError("build_theorem3 needs k >= 1")
-    if m < 1:
-        raise ValueError("build_theorem3 needs m >= 1")
+    check_theorem_domain(3, k, m)
     tags = ([U(i) for i in range(1, k + 2)]
             + [V(i) for i in range(1, k + 1)]
             + [W(i) for i in range(1, k + 1)]
@@ -418,8 +467,8 @@ def build_theorem3(k: int, m: int) -> Graph:
         edges.append((v, w))
         edges.append((w, z))
         edges.append((z, u_next))
-    g = corona_pendants(Graph(tags, edges), m)
-    return Graph(g.tags, g.edges, Family("sub-tri-snake", k=k, m=m))
+    _append_pendants(tags, edges, m)
+    return Graph(tags, edges, Family("sub-tri-snake", k=k, m=m))
 
 
 # -- structural helpers -----------------------------------------------------

@@ -126,7 +126,10 @@ def verify_odd_graceful(g: Graph, labels: Labeling) -> VerificationReport:
     max_label = 2 * q - 1 if q > 0 else 0
     violations = []
 
-    by_value: Dict[int, list] = {}
+    # first and second holder of each vertex value and each edge value; a
+    # duplicate is reported by its first two holders only
+    vertex_first: Dict[int, int] = {}
+    vertex_second: Dict[int, int] = {}
     for v in range(g.p):
         if v not in labels:
             violations.append(Violation(MISSING_VERTEX_LABEL, vertex_ids=(v,)))
@@ -135,38 +138,38 @@ def verify_odd_graceful(g: Graph, labels: Labeling) -> VerificationReport:
         if not (0 <= x <= max_label):
             violations.append(
                 Violation(VERTEX_LABEL_OUT_OF_RANGE, vertex_ids=(v,), label=x))
-        by_value.setdefault(x, []).append(v)
+        if vertex_first.setdefault(x, v) != v:
+            vertex_second.setdefault(x, v)
 
-    for value in sorted(by_value):
-        holders = by_value[value]
-        if len(holders) > 1:
-            violations.append(Violation(
-                DUPLICATE_VERTEX_LABEL,
-                vertex_ids=(holders[0], holders[1]),
-                label=value,
-            ))
+    for value in sorted(vertex_second):
+        violations.append(Violation(
+            DUPLICATE_VERTEX_LABEL,
+            vertex_ids=(vertex_first[value], vertex_second[value]),
+            label=value,
+        ))
 
-    edge_values: Dict[int, list] = {}
-    for a, b in g.edges:
+    edge_first: Dict[int, Tuple[int, int]] = {}
+    edge_second: Dict[int, Tuple[int, int]] = {}
+    for e in g.edges:
+        a, b = e
         if a not in labels or b not in labels:
             continue
         d = abs(labels[a] - labels[b])
         if d % 2 == 0:
             violations.append(
-                Violation(EDGE_LABEL_EVEN, edge_ids=((a, b),), label=d))
-        edge_values.setdefault(d, []).append((a, b))
+                Violation(EDGE_LABEL_EVEN, edge_ids=(e,), label=d))
+        if edge_first.setdefault(d, e) != e:
+            edge_second.setdefault(d, e)
 
-    for value in sorted(edge_values):
-        holders = edge_values[value]
-        if len(holders) > 1:
-            violations.append(Violation(
-                DUPLICATE_EDGE_LABEL,
-                edge_ids=(holders[0], holders[1]),
-                label=value,
-            ))
+    for value in sorted(edge_second):
+        violations.append(Violation(
+            DUPLICATE_EDGE_LABEL,
+            edge_ids=(edge_first[value], edge_second[value]),
+            label=value,
+        ))
 
     for odd in range(1, 2 * q, 2):
-        if odd not in edge_values:
+        if odd not in edge_first:
             violations.append(Violation(MISSING_ODD_EDGE_LABEL, label=odd))
 
     violations.sort(key=Violation.sort_key)

@@ -5,7 +5,10 @@ import json
 import pytest
 
 from oddgraceful import Graph, build_theorem1, cycle_graph, ladder
+from oddgraceful import cli
 from oddgraceful.cli import main, parse_grid
+
+from test_graphs import MALFORMED_GRAPH_DOCS
 
 
 def run(capsys, *argv):
@@ -49,6 +52,29 @@ def test_gen_invalid_params(tmp_path, capsys):
     code, _, _ = run(capsys, "gen", "--family", "no-such", "--n", "2",
                      "--m", "1", "--out", str(tmp_path / "g.json"))
     assert code == 2
+
+
+def assert_one_error_line(code, out, err):
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_gen_unwritable_out(tmp_path, capsys):
+    out = tmp_path / "missing" / "g.json"
+    assert_one_error_line(*run(capsys, "gen", "--family", "ladder", "--n",
+                               "2", "--m", "1", "--out", str(out)))
+
+
+def test_label_unwritable_out(tmp_path, capsys):
+    out = tmp_path / "missing" / "labels.json"
+    assert_one_error_line(*run(capsys, "label", "--theorem", "1", "--n", "2",
+                               "--m", "1", "--out", str(out)))
+
+
+def test_sweep_unwritable_out(tmp_path, capsys):
+    out = tmp_path / "missing" / "sweep.csv"
+    assert_one_error_line(*run(capsys, "sweep", "--grid", "theorem1:n=2,m=1",
+                               "--search-policy", "never", "--out", str(out)))
 
 
 def gen_pair(tmp_path, capsys, theorem, param, value, m):
@@ -126,6 +152,18 @@ def write_graph(tmp_path, g, name="g.json"):
     return path
 
 
+@pytest.mark.parametrize("break_doc", MALFORMED_GRAPH_DOCS)
+def test_malformed_graph_file_exits_2(tmp_path, capsys, break_doc):
+    _, lpath = gen_pair(tmp_path, capsys, 1, "n", 2, 1)
+    doc = ladder(2).to_json_obj()
+    break_doc(doc)
+    gpath = tmp_path / "bad.json"
+    gpath.write_text(json.dumps(doc))
+    for argv in (("verify", str(gpath), str(lpath)), ("search", str(gpath)),
+                 ("export", str(gpath))):
+        assert_one_error_line(*run(capsys, *argv))
+
+
 def test_search_found_and_none_and_budget(tmp_path, capsys):
     c4 = write_graph(tmp_path, cycle_graph(4), "c4.json")
     code, out, _ = run(capsys, "search", str(c4))
@@ -175,6 +213,37 @@ def test_parse_grid():
         parse_grid("theorem3:n=1..2,m=1")  # theorem3 takes k
     with pytest.raises(ValueError):
         parse_grid("")
+
+
+@pytest.mark.parametrize("grid", ["theorem1:n=1..3,m=1",
+                                  "theorem2:n=0,m=1..2",
+                                  "theorem3:k=0..2,m=1",
+                                  "theorem1:n=2,m=1;theorem3:k=1,m=0..1"])
+def test_sweep_rejects_grid_outside_theorem_domain(tmp_path, capsys, grid):
+    out = tmp_path / "s.csv"
+    code, stdout, err = run(capsys, "sweep", "--grid", grid,
+                            "--search-policy", "never", "--out", str(out))
+    assert_one_error_line(code, stdout, err)
+    assert grid.split(";")[-1] in err and not out.exists()
+
+
+def test_sweep_builds_each_graph_once(monkeypatch):
+    calls = []
+
+    def counted(build):
+        def build_and_count(a, m):
+            calls.append((build, a, m))
+            return build(a, m)
+        return build_and_count
+
+    monkeypatch.setattr(cli, "_THEOREMS", {
+        number: (param, counted(build), label, family)
+        for number, (param, build, label, family) in cli._THEOREMS.items()})
+    grid = parse_grid("theorem1:n=2..4,m=1..2;theorem2:n=2..3,m=1;"
+                      "theorem3:k=1..3,m=1..2")
+    rows = cli.build_sweep_rows(grid, "never", 0)
+    assert len(calls) == len(rows) == len(grid)
+    assert len(set(calls)) == len(calls)
 
 
 def test_sweep_csv_content(tmp_path, capsys):

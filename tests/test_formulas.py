@@ -1,11 +1,14 @@
 """Closed-form labelers: frozen hand-evaluated instances, grid behavior of
 the literal transcription, and the quarantined repair flag."""
 
+import hashlib
+
 import pytest
 
-from oddgraceful import (build_theorem1, build_theorem2, build_theorem3,
+from oddgraceful import (Graph, build_theorem1, build_theorem2, build_theorem3,
                          label_theorem1, label_theorem2, label_theorem3,
-                         verify_odd_graceful)
+                         labeling_to_json, verify_odd_graceful)
+from oddgraceful.cli import _THEOREMS, parse_grid
 from oddgraceful.labeling import (DUPLICATE_EDGE_LABEL,
                                   DUPLICATE_VERTEX_LABEL,
                                   MISSING_ODD_EDGE_LABEL,
@@ -216,6 +219,78 @@ def test_labelers_reject_domain_violations():
         label_theorem3(0, 1)
     with pytest.raises(ValueError):
         label_theorem3(1, 0)
+
+
+# -- arithmetic vertex ids ----------------------------------------------------
+
+AUDIT_GRID = ("theorem1:n=2..100,m=1..5;theorem2:n=2..50,m=1..5;"
+              "theorem3:k=1..50,m=1..5")
+# sha256 over labeling_to_json(g, labels) then interp.to_json() for every
+# AUDIT_GRID instance in sorted order, apply_repairs False then True; taken
+# when the labelers still looked their vertex ids up by tag
+AUDIT_GRID_LABELINGS_SHA256 = (
+    "351f2bf9854792b976638b728a7d106590cd9ebfb6f7f499b98cd732dde5360a")
+
+
+def test_labelers_match_golden_digest_on_audit_grid():
+    digest = hashlib.sha256()
+    for number, a, m in sorted(set(parse_grid(AUDIT_GRID))):
+        _, build, label, _ = _THEOREMS[number]
+        g = build(a, m)
+        for repairs in (False, True):
+            labels, interp = label(a, m, apply_repairs=repairs)
+            digest.update(labeling_to_json(g, labels).encode("utf-8"))
+            digest.update(interp.to_json().encode("utf-8"))
+    assert digest.hexdigest() == AUDIT_GRID_LABELINGS_SHA256
+
+
+# the vertex every scheme labels 2q-1: v2 in schemes 1 and 2, v1 in scheme 3
+TOP_VERTEX = {1: "v2", 2: "v2", 3: "v1"}
+
+
+@pytest.mark.parametrize("repairs", (False, True))
+@pytest.mark.parametrize("number,a,m", [
+    (1, 2, 1), (1, 5, 3), (1, 8, 2), (2, 2, 1), (2, 4, 2), (2, 7, 3),
+    (3, 1, 1), (3, 2, 3), (3, 5, 1), (3, 8, 2)])
+def test_labeler_ids_and_q_match_the_built_graph(number, a, m, repairs):
+    _, build, label, _ = _THEOREMS[number]
+    g = build(a, m)
+    labels, interp = label(a, m, apply_repairs=repairs)
+    idx = g.tag_index()
+    uncovered = [idx[str(t)] for t in interp.uncovered]
+    assert set(labels).isdisjoint(uncovered)
+    assert sorted([*labels, *uncovered]) == list(range(g.p))
+    assert labels[idx[TOP_VERTEX[number]]] == 2 * g.q - 1
+
+
+@pytest.fixture
+def graphs_constructed(monkeypatch):
+    """List that every Graph constructed during the test is appended to."""
+    built = []
+    init = Graph.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Graph, "__init__", counting_init)
+    return built
+
+
+def test_labelers_construct_no_graph(graphs_constructed):
+    for labeler, a in ((label_theorem1, 5), (label_theorem2, 4),
+                       (label_theorem3, 5)):
+        for repairs in (False, True):
+            labeler(a, 2, apply_repairs=repairs)
+    assert graphs_constructed == []
+
+
+def test_builders_construct_one_graph(graphs_constructed):
+    for build, a in ((build_theorem1, 3), (build_theorem2, 3),
+                     (build_theorem3, 2)):
+        graphs_constructed.clear()
+        g = build(a, 2)
+        assert graphs_constructed == [g]
 
 
 # -- quarantined repairs ------------------------------------------------------

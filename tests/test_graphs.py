@@ -299,6 +299,40 @@ def test_graph_json_rejects_malformed():
         Graph.from_json('{"edges": []}')
 
 
+def _vertex_not_object(doc):
+    doc["vertices"][1] = "u2"
+
+
+def _tag_not_string(doc):
+    doc["vertices"][0]["tag"] = 7
+
+
+def _float_edge_id(doc):
+    doc["edges"][0] = [0, 1.0]
+
+
+def _bool_edge(doc):
+    doc["edges"][0] = [False, True]
+
+
+def _duplicate_tag(doc):
+    doc["vertices"][1]["tag"] = "u1"
+
+
+# ways to break the ladder(2) graph document; each must be rejected
+MALFORMED_GRAPH_DOCS = [_vertex_not_object, _tag_not_string, _float_edge_id,
+                        _bool_edge, _duplicate_tag]
+
+
+@pytest.mark.parametrize("break_doc", MALFORMED_GRAPH_DOCS)
+def test_graph_loader_rejects_malformed_document(break_doc):
+    doc = ladder(2).to_json_obj()
+    Graph.from_json_obj(doc)  # the unbroken document loads
+    break_doc(doc)
+    with pytest.raises(ValueError):
+        Graph.from_json_obj(doc)
+
+
 @st.composite
 def small_graphs(draw):
     p = draw(st.integers(min_value=1, max_value=8))
