@@ -1,15 +1,3 @@
-from setuptools import Extension, setup
+from setuptools import setup
 
-# The compiled search kernel is optional: the package falls back to the
-# pure-Python kernel when the extension is unavailable.
-try:
-    from Cython.Build import cythonize
-except ImportError:
-    ext_modules = []
-else:
-    ext_modules = cythonize(
-        [Extension("oddgraceful._dfs_core", ["src/oddgraceful/_dfs_core.pyx"])],
-        language_level=3,
-    )
-
-setup(ext_modules=ext_modules)
+setup()

@@ -264,12 +264,19 @@ def cmd_sweep(args) -> int:
         SearchConfig(node_budget=node_budget)  # rejects a negative budget
         instances = parse_grid(args.grid)
         expected = _load_expected(args.expected) if args.expected else None
+        # opened before the sweep, so an unwritable path costs no work
+        out = open(args.out, "w", encoding="utf-8", newline="")
     except (OSError, ValueError) as exc:
         return _fail(str(exc))
-    rows = build_sweep_rows(instances, args.search_policy, node_budget)
-    code = _write_outputs((args.out, rows_to_csv(rows)))
-    if code or expected is None:
-        return code
+    with out:
+        rows = build_sweep_rows(instances, args.search_policy, node_budget)
+        try:
+            out.write(rows_to_csv(rows))
+            out.flush()
+        except OSError as exc:
+            return _fail(str(exc))
+    if expected is None:
+        return 0
     mismatches = []
     seen = {(r["family"], r["n_or_k"], r["m"]): r["closed_form_verdict"]
             for r in rows}

@@ -127,8 +127,15 @@ class Family:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "Family":
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise ValueError("family object needs a 'kind' field")
+        """Parse a family object: a string kind, and n, k and m each absent,
+        null or an int (bools are rejected)."""
+        if not isinstance(obj, dict) or not isinstance(obj.get("kind"), str):
+            raise ValueError("family object needs a string 'kind' field")
+        for name in ("n", "k", "m"):
+            value = obj.get(name)
+            if value is not None and not _is_int(value):
+                raise ValueError(
+                    f"family field {name!r} must be an int or null")
         return Family(
             kind=obj["kind"],
             n=obj.get("n"),
@@ -333,11 +340,21 @@ def _append_pendants(tags: list, edges: list, m: int) -> None:
     """Append m pendant vertices and edges to every vertex in tags, grouped
     by parent in parent id order with pendant index ascending, so pendant j
     of vertex x gets id p + x*m + j - 1.  Parents that are already pendants
-    get generic parent tags so pendant tags never nest."""
+    get generic parent tags so pendant tags never nest.  A vertex that
+    already has pendants numbers the new ones after them, so tags stay
+    distinct."""
+    taken = {}  # parent tag text -> highest pendant index in tags
+    for t in tags:
+        if t.kind == "p" or t.kind == "g":
+            match = _PENDANT_RE.match(str(t))
+            if match:
+                parent, j = match.group(1), int(match.group(2))
+                taken[parent] = max(taken.get(parent, 0), j)
     for v in range(len(tags)):
         t = tags[v]
         parent_tag = t if t.kind != "p" else generic(str(t))
-        for j in range(1, m + 1):
+        base = taken.get(str(parent_tag), 0) if taken else 0
+        for j in range(base + 1, base + m + 1):
             edges.append((v, len(tags)))
             tags.append(pendant(parent_tag, j))
 

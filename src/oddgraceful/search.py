@@ -4,11 +4,6 @@ The search assigns labels vertex by vertex in a BFS order rooted at a
 maximum-degree vertex, so every vertex after the first has at least one
 already-placed neighbor and edge constraints prune immediately.  It is an
 independent oracle: it never consults the closed-form labelers.
-
-Two interchangeable kernels implement the inner loop: a compiled extension
-(_dfs_core) and a pure-Python fallback (_dfs_py).  The compiled kernel is
-selected at import when available.  Both produce identical outcomes and
-statistics.
 """
 
 from __future__ import annotations
@@ -18,20 +13,14 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Optional
 
-from . import _dfs_py
 from .canon import canonical_dumps
 from .graphs import Graph
 from .labeling import Labeling, verify_odd_graceful
 
-try:
-    from . import _dfs_core as _kernel_default  # type: ignore[no-redef]
-except ImportError:
-    _kernel_default = _dfs_py
-
 
 def engine_name() -> str:
-    """Which DFS kernel is active: 'compiled' or 'pure-python'."""
-    return "pure-python" if _kernel_default is _dfs_py else "compiled"
+    """Name of the search engine, recorded with benchmark results."""
+    return "pure-python"
 
 
 @dataclass(frozen=True)
@@ -117,21 +106,114 @@ def _bfs_order(g: Graph):
     return order, roots == 1
 
 
-def _prefix_csr(g: Graph, order):
-    """CSR arrays of already-placed neighbors per placement position."""
+def _earlier_neighbors(g: Graph, order):
+    """Per placement position, the ascending positions of its neighbors
+    placed before it."""
     pos_of = {v: d for d, v in enumerate(order)}
     adj = g.adjacency()
-    prefix_index = [0]
-    prefix_flat = []
-    for d, v in enumerate(order):
-        earlier = sorted(pos_of[nb] for nb in adj[v] if pos_of[nb] < d)
-        prefix_flat.extend(earlier)
-        prefix_index.append(len(prefix_flat))
-    return prefix_index, prefix_flat
+    return [tuple(sorted(pos_of[nb] for nb in adj[v] if pos_of[nb] < d))
+            for d, v in enumerate(order)]
 
 
-def find_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig(),
-                      _kernel=None) -> SearchOutcome:
+_FOUND = 0
+_EXHAUSTED = 1
+_NODE_BUDGET = 2
+_TIME_BUDGET = 3
+
+
+def _run_dfs(p, q, first_cap, earlier, node_budget, time_budget_ms):
+    """Complete DFS over vertex-label assignments in [0, 2q-1].
+
+    Vertices are handled in placement order ("positions"); earlier[pos]
+    holds the earlier positions adjacent to pos; used vertex and edge labels
+    live in bitsets.  A position with a placed neighbor only tries values of
+    the opposite parity, since every edge label must be odd.  Statistics:
+    nodes counts successful placements, backtracks counts removals,
+    max_depth is the deepest prefix of placed positions.  The node budget is
+    checked before every placement, the time budget every 4096 placements;
+    budgets are -1 when unlimited.  Returns (status, labels_by_position |
+    None, nodes, backtracks, max_depth).
+    """
+    t0 = perf_counter()
+    max_label = 2 * q - 1
+    labels = [0] * p
+    last = [-1] * p            # last candidate value tried per position
+    used_v = 0                 # vertex-label bitset
+    used_e = 0                 # edge-label bitset
+    nodes = 0
+    backtracks = 0
+    max_depth = 0
+    pos = 0
+
+    while True:
+        cap = first_cap if pos == 0 else max_label
+        nbrs = earlier[pos]
+        start = last[pos] + 1
+        step = 1
+        if nbrs:
+            req = (labels[nbrs[0]] & 1) ^ 1
+            if start & 1 != req:
+                start += 1
+            step = 2
+
+        placed = False
+        x = start
+        while x <= cap:
+            bit = 1 << x
+            if not used_v & bit:
+                new_bits = 0
+                ok = True
+                for j in nbrs:
+                    d = x - labels[j]
+                    if d < 0:
+                        d = -d
+                    eb = 1 << d
+                    if not d & 1 or (used_e | new_bits) & eb:
+                        ok = False
+                        break
+                    new_bits |= eb
+                if ok:
+                    if node_budget >= 0 and nodes >= node_budget:
+                        return (_NODE_BUDGET, None, nodes, backtracks,
+                                max_depth)
+                    labels[pos] = x
+                    last[pos] = x
+                    used_v |= bit
+                    used_e |= new_bits
+                    nodes += 1
+                    if pos + 1 > max_depth:
+                        max_depth = pos + 1
+                    if (time_budget_ms >= 0 and nodes % 4096 == 0
+                            and (perf_counter() - t0) * 1000.0 > time_budget_ms):
+                        return (_TIME_BUDGET, None, nodes, backtracks,
+                                max_depth)
+                    placed = True
+                    break
+            x += step
+
+        if placed:
+            pos += 1
+            if pos == p:
+                return (_FOUND, list(labels), nodes, backtracks, max_depth)
+            last[pos] = -1
+            continue
+
+        # no candidate left at pos: undo the previous placement
+        pos -= 1
+        if pos < 0:
+            return (_EXHAUSTED, None, nodes, backtracks, max_depth)
+        x = labels[pos]
+        used_v &= ~(1 << x)
+        for j in earlier[pos]:
+            d = x - labels[j]
+            if d < 0:
+                d = -d
+            used_e &= ~(1 << d)
+        backtracks += 1
+
+
+def find_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()
+                      ) -> SearchOutcome:
     """Find an odd-graceful labeling of g or certify that none exists.
 
     Complete depth-first search with ascending value order.  Pruning: a new
@@ -144,7 +226,6 @@ def find_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig(),
     """
     if g.p == 0:
         raise ValueError("cannot search the empty graph")
-    kernel = _kernel if _kernel is not None else _kernel_default
     t0 = perf_counter()
     q = g.q
 
@@ -159,24 +240,23 @@ def find_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig(),
         return SearchOutcome("none", SearchStats(0, 0, elapsed, 0))
 
     order, connected = _bfs_order(g)
-    prefix_index, prefix_flat = _prefix_csr(g, order)
     first_cap = q - 1 if connected else 2 * q - 1
     node_budget = -1 if cfg.node_budget is None else cfg.node_budget
     time_budget = -1 if cfg.time_budget_ms is None else cfg.time_budget_ms
 
-    status, pos_labels, nodes, backtracks, max_depth = kernel.run_dfs(
-        g.p, q, first_cap, prefix_index, prefix_flat, node_budget,
+    status, pos_labels, nodes, backtracks, max_depth = _run_dfs(
+        g.p, q, first_cap, _earlier_neighbors(g, order), node_budget,
         time_budget)
 
     elapsed = int((perf_counter() - t0) * 1000)
     stats = SearchStats(nodes, backtracks, elapsed, max_depth)
-    if status == _dfs_py.FOUND:
+    if status == _FOUND:
         labeling = {order[d]: pos_labels[d] for d in range(g.p)}
         _assert_sound(g, labeling)
         return SearchOutcome("found", stats, labeling=labeling)
-    if status == _dfs_py.EXHAUSTED:
+    if status == _EXHAUSTED:
         return SearchOutcome("none", stats)
-    reason = "node-budget" if status == _dfs_py.NODE_BUDGET else "time-budget"
+    reason = "node-budget" if status == _NODE_BUDGET else "time-budget"
     return SearchOutcome("inconclusive", stats, reason=reason)
 
 

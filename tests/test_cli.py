@@ -71,7 +71,11 @@ def test_label_unwritable_out(tmp_path, capsys):
                                "--m", "1", "--out", str(out)))
 
 
-def test_sweep_unwritable_out(tmp_path, capsys):
+def test_sweep_unwritable_out(tmp_path, capsys, monkeypatch):
+    def no_work(*args):
+        raise AssertionError("sweep ran before opening --out")
+
+    monkeypatch.setattr(cli, "build_sweep_rows", no_work)
     out = tmp_path / "missing" / "sweep.csv"
     assert_one_error_line(*run(capsys, "sweep", "--grid", "theorem1:n=2,m=1",
                                "--search-policy", "never", "--out", str(out)))

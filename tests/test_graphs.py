@@ -276,8 +276,11 @@ def test_pendant_tag_invariant():
 
 
 def test_graph_json_round_trip_byte_identical():
+    # corona twice: v1 gets pendants p(v1,1) and then p(v1,2)
+    twice = corona_pendants(corona_pendants(path_graph(1), 1), 1)
+    assert str(twice.tags[2]) == "p(v1,2)"
     for g in (ladder(3), build_theorem1(2, 1), build_theorem2(2, 1),
-              build_theorem3(2, 2), subdivide(triangular_snake(2))):
+              build_theorem3(2, 2), subdivide(triangular_snake(2)), twice):
         text = g.to_json()
         back = Graph.from_json(text)
         assert back.to_json() == text
@@ -319,9 +322,26 @@ def _duplicate_tag(doc):
     doc["vertices"][1]["tag"] = "u1"
 
 
+def _family_kind_not_string(doc):
+    doc["family"]["kind"] = ["x"]
+
+
+def _family_n_not_int(doc):
+    doc["family"]["n"] = "two"
+
+
+def _family_m_bool(doc):
+    doc["family"]["m"] = True
+
+
+def _family_k_float(doc):
+    doc["family"]["k"] = 2.0
+
+
 # ways to break the ladder(2) graph document; each must be rejected
 MALFORMED_GRAPH_DOCS = [_vertex_not_object, _tag_not_string, _float_edge_id,
-                        _bool_edge, _duplicate_tag]
+                        _bool_edge, _duplicate_tag, _family_kind_not_string,
+                        _family_n_not_int, _family_m_bool, _family_k_float]
 
 
 @pytest.mark.parametrize("break_doc", MALFORMED_GRAPH_DOCS)

@@ -1,28 +1,15 @@
-"""Search engine: corpus verdicts, oracle agreement, budgets, determinism,
-and kernel equivalence."""
-
-import inspect
-import re
-from pathlib import Path
+"""Search engine: corpus verdicts, oracle agreement, budgets, determinism
+and pinned statistics."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddgraceful import (Graph, SearchConfig, build_theorem1, build_theorem2,
-                         corona_pendants, cycle_graph, exhaustive_oracle,
-                         find_odd_graceful, path_graph, triangular_snake,
-                         verify_odd_graceful)
-from oddgraceful import _dfs_py
+                         build_theorem3, corona_pendants, cycle_graph,
+                         exhaustive_oracle, find_odd_graceful, path_graph,
+                         triangular_snake, verify_odd_graceful)
 from oddgraceful.graphs import V
-
-try:
-    from oddgraceful import _dfs_core
-except ImportError:
-    _dfs_core = None
-
-needs_compiled = pytest.mark.skipif(
-    _dfs_core is None, reason="compiled kernel not built")
 
 
 def corpus():
@@ -126,6 +113,39 @@ def test_time_budget_inconclusive():
     assert outcome.reason == "time-budget"
 
 
+# (graph, node budget, status, reason, nodes, backtracks, max_depth,
+# labels by vertex id): the search's statistics are part of its contract.
+PINNED_STATS = {
+    "C5": (lambda: cycle_graph(5), None, "none", None, 322, 322, 4, None),
+    "C6": (lambda: cycle_graph(6), None, "found", None, 36, 30, 6,
+           [0, 1, 4, 9, 2, 11]),
+    "C7": (lambda: cycle_graph(7), None, "none", None, 9136, 9136, 6, None),
+    "t1(3,1)": (lambda: build_theorem1(3, 1), None, "found", None, 3026, 3014,
+                12, [1, 0, 3, 24, 5, 12, 22, 25, 16, 7, 20, 23]),
+    "t3(1,1)": (lambda: build_theorem3(1, 1), None, "found", None, 14886,
+                14874, 12, [0, 14, 1, 6, 3, 21, 23, 5, 22, 19, 20, 2]),
+    "t2(2,1)@2000": (lambda: build_theorem2(2, 1), 2000, "inconclusive",
+                     "node-budget", 2000, 1990, 15, None),
+    "C12@1000": (lambda: cycle_graph(12), 1000, "inconclusive", "node-budget",
+                 1000, 993, 11, None),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_STATS))
+def test_search_statistics_pinned(name):
+    make, budget, status, reason, nodes, backtracks, depth, labels = \
+        PINNED_STATS[name]
+    g = make()
+    outcome = find_odd_graceful(g, SearchConfig(node_budget=budget))
+    assert (outcome.status, outcome.reason) == (status, reason)
+    assert (outcome.stats.nodes_expanded, outcome.stats.backtracks,
+            outcome.stats.max_depth) == (nodes, backtracks, depth)
+    if labels is None:
+        assert outcome.labeling is None
+    else:
+        assert [outcome.labeling[v] for v in range(g.p)] == labels
+
+
 def test_backtracks_bounded_by_nodes():
     for g in corpus().values():
         stats = find_odd_graceful(g).stats
@@ -173,36 +193,6 @@ def test_outcome_json_shape():
                                  "max_depth"}
 
 
-def test_compiled_kernel_source_matches_pure_kernel():
-    # tier-1 runs without Cython, so compare the .pyx text with _dfs_py
-    pyx = (Path(_dfs_py.__file__).with_name("_dfs_core.pyx")
-           .read_text(encoding="utf-8"))
-    header = re.search(r"^def run_dfs\(([^)]*)\):", pyx, re.M)
-    params = [arg.split()[-1] for arg in header.group(1).split(",")]
-    assert params == list(inspect.signature(_dfs_py.run_dfs).parameters)
-    constants = dict(re.findall(r"^([A-Z_]+) = (\d+)$", pyx, re.M))
-    assert constants == {name: str(getattr(_dfs_py, name)) for name in
-                         ("FOUND", "EXHAUSTED", "NODE_BUDGET", "TIME_BUDGET")}
-
-
-@needs_compiled
-def test_kernels_produce_identical_outcomes_and_stats():
-    graphs = list(corpus().values()) + [
-        build_theorem1(2, 1),
-        Graph([V(1), V(2), V(3), V(4)], [(0, 1), (2, 3)]),
-    ]
-    for g in graphs:
-        for cfg in (SearchConfig(), SearchConfig(node_budget=25)):
-            a = find_odd_graceful(g, cfg, _kernel=_dfs_py)
-            b = find_odd_graceful(g, cfg, _kernel=_dfs_core)
-            assert a.status == b.status and a.reason == b.reason
-            assert a.labeling == b.labeling
-            assert (a.stats.nodes_expanded, a.stats.backtracks,
-                    a.stats.max_depth) == (b.stats.nodes_expanded,
-                                           b.stats.backtracks,
-                                           b.stats.max_depth)
-
-
 @st.composite
 def searchable_graphs(draw):
     p = draw(st.integers(min_value=1, max_value=6))
@@ -224,13 +214,3 @@ def test_engine_agrees_with_oracle_on_random_graphs(g):
             # edge label 2q-1 forces both ends of the label range
             assert {0, 2 * g.q - 1} <= set(engine.labeling.values())
 
-
-@needs_compiled
-@given(searchable_graphs())
-@settings(max_examples=60, deadline=None)
-def test_kernel_equivalence_on_random_graphs(g):
-    a = find_odd_graceful(g, _kernel=_dfs_py)
-    b = find_odd_graceful(g, _kernel=_dfs_core)
-    assert a.status == b.status and a.labeling == b.labeling
-    assert a.stats.nodes_expanded == b.stats.nodes_expanded
-    assert a.stats.backtracks == b.stats.backtracks
