@@ -6,11 +6,10 @@ odd-graceful property exactly, and cross-checks existence claims with a
 complete backtracking search.
 """
 
-from .graphs import (Family, Graph, Tag, U, V, W, Y, Z, build_theorem1,
-                     build_theorem2, build_theorem3, cartesian_product,
-                     corona_pendants, cycle_graph, generic, is_bipartite,
-                     ladder, parse_tag, path_graph, pendant, subdivide,
-                     triangular_snake, two_coloring)
+from .graphs import (Family, Graph, build_theorem1, build_theorem2,
+                     build_theorem3, cartesian_product, corona_pendants,
+                     cycle_graph, is_bipartite, ladder, path_graph, pendant,
+                     subdivide, triangular_snake, two_coloring)
 from .labeling import (VerificationReport, Violation, complement_labeling,
                        edge_label, is_odd_graceful, labeling_from_json_obj,
                        labeling_to_json, verify_odd_graceful)
@@ -22,11 +21,10 @@ from .search import (SearchConfig, SearchOutcome, SearchStats, engine_name,
 __version__ = "0.1.0"
 
 __all__ = [
-    "Family", "Graph", "Tag", "U", "V", "W", "Y", "Z",
-    "build_theorem1", "build_theorem2", "build_theorem3",
-    "cartesian_product", "corona_pendants", "cycle_graph", "generic",
-    "is_bipartite", "ladder", "parse_tag", "path_graph", "pendant",
-    "subdivide", "triangular_snake", "two_coloring",
+    "Family", "Graph", "build_theorem1", "build_theorem2", "build_theorem3",
+    "cartesian_product", "corona_pendants", "cycle_graph", "is_bipartite",
+    "ladder", "path_graph", "pendant", "subdivide", "triangular_snake",
+    "two_coloring",
     "VerificationReport", "Violation", "complement_labeling", "edge_label",
     "is_odd_graceful", "labeling_from_json_obj", "labeling_to_json",
     "verify_odd_graceful",

@@ -50,6 +50,19 @@ def _load_graph(path: str) -> Graph:
     return Graph.from_json_obj(_load_json(path))
 
 
+def _load_labeling(path: str, g: Graph):
+    """Labels of a labeling file, raising ValueError unless the file is bound
+    to g by its fingerprint and has one array entry per vertex of g."""
+    raw = _load_json(path)
+    fp, labels = labeling_from_json_obj(raw)
+    if fp != g.fingerprint():
+        raise ValueError("labeling fingerprint does not match the graph")
+    if len(raw["labels"]) != g.p:
+        raise ValueError(
+            "labeling array length does not match the vertex count")
+    return labels
+
+
 def _write_outputs(*files) -> int:
     """Write (path, text) pairs.  Returns exit status 0, or 2 with an error
     line when a path cannot be written."""
@@ -100,14 +113,9 @@ def cmd_label(args) -> int:
 def cmd_verify(args) -> int:
     try:
         g = _load_graph(args.graph)
-        raw = _load_json(args.labeling)
-        fp, labels = labeling_from_json_obj(raw)
+        labels = _load_labeling(args.labeling, g)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
-    if fp != g.fingerprint():
-        return _fail("labeling fingerprint does not match the graph")
-    if len(raw["labels"]) != g.p:
-        return _fail("labeling array length does not match the vertex count")
     report = verify_odd_graceful(g, labels)
     sys.stdout.write(report.to_json(g))
     return 0 if report.ok else 1
@@ -125,19 +133,17 @@ def cmd_search(args) -> int:
     except ValueError as exc:
         return _fail(str(exc))
     sys.stdout.write(outcome.to_json())
-    if outcome.status == "found":
-        return 0
-    if outcome.status == "none":
-        return 1
-    return 3
+    return {"found": 0, "none": 1}.get(outcome.status, 3)
 
 
 def parse_grid(spec: str):
     """Grid spec: semicolon-separated clauses 'theorem1:n=2..10,m=1..5'.
 
     theorem1/theorem2 take n, theorem3 takes k.  Ranges are 'lo..hi' or a
-    single integer, and must lie in the theorem's domain (n >= 2, k >= 1,
-    m >= 1).  Returns a list of (theorem_number, param_value, m).
+    single integer, and both ends must lie in the theorem's domain (n >= 2,
+    k >= 1, m >= 1, q <= MAX_THEOREM_Q), so an oversized grid is rejected
+    before any instance is listed.  Returns a list of (theorem_number,
+    param_value, m).
     """
     def parse_range(text):
         if ".." in text:
@@ -169,8 +175,9 @@ def parse_grid(spec: str):
         if expected_param not in ranges or "m" not in ranges:
             raise ValueError(f"{name} needs {expected_param}= and m= ranges")
         try:
-            check_theorem_domain(number, ranges[expected_param][0],
-                                 ranges["m"][0])
+            for end in (0, -1):  # q grows with both parameters
+                check_theorem_domain(number, ranges[expected_param][end],
+                                     ranges["m"][end])
         except ValueError as exc:
             raise ValueError(f"grid clause {clause!r}: {exc}") from None
         for a in ranges[expected_param]:
@@ -294,9 +301,7 @@ def cmd_export(args) -> int:
         g = _load_graph(args.graph)
         labels = None
         if args.labeling:
-            fp, labels = labeling_from_json_obj(_load_json(args.labeling))
-            if fp != g.fingerprint():
-                return _fail("labeling fingerprint does not match the graph")
+            labels = _load_labeling(args.labeling, g)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         return _fail(str(exc))
     if args.format == "json":
@@ -311,13 +316,13 @@ def to_dot(g: Graph, labels=None) -> str:
     annotations and edge labels become edge label annotations."""
     lines = ["graph G {"]
     for v in range(g.p):
-        tag = str(g.tags[v])
+        tag = g.tags[v]
         if labels is not None and v in labels:
             lines.append(f'  "{tag}" [xlabel={labels[v]}];')
         else:
             lines.append(f'  "{tag}";')
     for a, b in g.edges:
-        ta, tb = str(g.tags[a]), str(g.tags[b])
+        ta, tb = g.tags[a], g.tags[b]
         if labels is not None and a in labels and b in labels:
             lines.append(f'  "{ta}" -- "{tb}" [label={abs(labels[a] - labels[b])}];')
         else:

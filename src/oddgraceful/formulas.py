@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from .canon import canonical_dumps
-from .graphs import Tag, Y, check_theorem_domain, pendant
+from .graphs import check_theorem_domain, pendant, theorem_q
 
 Labeling = Dict[int, int]
 
@@ -39,12 +39,12 @@ class FormulaInterpretation:
     ambiguous formula, and which vertices the declared ranges never cover."""
 
     notes: Tuple[Tuple[str, str], ...] = ()
-    uncovered: Tuple[Tag, ...] = ()
+    uncovered: Tuple[str, ...] = ()
 
     def to_json_obj(self) -> dict:
         return {
             "notes": [[fid, text] for fid, text in self.notes],
-            "uncovered": [str(t) for t in self.uncovered],
+            "uncovered": list(self.uncovered),
         }
 
     def to_json(self) -> str:
@@ -103,7 +103,7 @@ def label_theorem1(n: int, m: int, apply_repairs: bool = False,
     conjectured row (2m+1)i + 2j - 2m - 2.
     """
     check_theorem_domain(1, n, m)
-    q = 2 * m * n + 3 * n - 2
+    q = theorem_q(1, n, m)
     p0 = 2 * n
     lab: Labeling = {}
     repaired = False
@@ -152,7 +152,7 @@ def label_theorem2(n: int, m: int, apply_repairs: bool = False,
     coincides with the declared row exactly at n=3.
     """
     check_theorem_domain(2, n, m)
-    q = m * (5 * n - 2) + 2 * (3 * n - 2)
+    q = theorem_q(2, n, m)
     side = 2 * n - 1
     p0 = 5 * n - 2
     lab: Labeling = {}
@@ -227,7 +227,7 @@ def label_theorem3(k: int, m: int, apply_repairs: bool = False,
     between covered rows that keep k >= 2 failing verification.
     """
     check_theorem_domain(3, k, m)
-    q = (5 * m + 6) * k + m
+    q = theorem_q(3, k, m)
     p0 = 5 * k + 1
     lab: Labeling = {}
     a4 = 4 * m + 4
@@ -286,7 +286,7 @@ def label_theorem3(k: int, m: int, apply_repairs: bool = False,
             repaired.append(i)
         else:
             for l in range(1, m + 1):
-                uncovered.append(pendant(Y(i), l))
+                uncovered.append(pendant(f"y{i}", l))
 
     notes = [_NOTE_T3_SAME_FN, _NOTE_T3_U_BASE, _NOTE_T3_Y_TAIL,
              _NOTE_T3_Y_BRACKET]

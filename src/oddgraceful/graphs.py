@@ -1,12 +1,14 @@
 """Tagged graph constructions for pendant ladder and snake families.
 
-Vertices carry structured tags (u3, w1, p(u3,2), ...) so that label formulas
-stated per symbol class and index can be applied without guessing which
-vertex is which.  Vertex ids are dense 0..p-1 in a fixed canonical order:
-u vertices by index, then v, w, y, z, then pendants grouped by parent
-(parents in id order, pendant index ascending).  Graphs are immutable once
-built, and identical parameters always produce identical vertex orderings
-and edge sets.
+Vertices carry plain string tags naming symbol class and index (u3, w1), so
+that label formulas stated per class and index can be applied without
+guessing which vertex is which.  Pendant j of the vertex tagged x is tagged
+p(x,j) (pendant() is the only tag helper); untyped constructions use
+free-form tags such as s(u1,u2).  Vertex ids are dense 0..p-1 in a fixed
+canonical order: u vertices by index, then v, w, y, z, then pendants
+grouped by parent (parents in id order, pendant index ascending).  Graphs
+are immutable once built, and identical parameters always produce identical
+vertex orderings and edge sets.
 
 The closed-form labelers in formulas.py compute vertex ids from this order
 by arithmetic instead of building the graph and looking tags up, so
@@ -22,88 +24,12 @@ from typing import Iterable, Optional, Sequence
 
 from .canon import canonical_dumps, sha256_hex
 
-_ROLE_ORDER = {"u": 0, "v": 1, "w": 2, "y": 3, "z": 4}
-_ROLE_RE = re.compile(r"^([uvwyz])([1-9][0-9]*)$")
 _PENDANT_RE = re.compile(r"^p\((.+),([1-9][0-9]*)\)$")
 
 
-@dataclass(frozen=True)
-class Tag:
-    """Structured vertex name: a role tag (u3), a pendant (p(u3,2)), or a
-    generic free-form name for vertices created by untyped constructions."""
-
-    kind: str
-    index: int = 0
-    parent: Optional["Tag"] = None
-    name: str = ""
-
-    def __post_init__(self):
-        if self.kind in _ROLE_ORDER:
-            if self.index < 1:
-                raise ValueError("role tag index is 1-based")
-        elif self.kind == "p":
-            # a pendant's parent is never itself a pendant
-            if self.parent is None or self.parent.kind == "p":
-                raise ValueError("pendant parent must be a non-pendant tag")
-            if self.index < 1:
-                raise ValueError("pendant index is 1-based")
-        elif self.kind == "g":
-            if not self.name:
-                raise ValueError("generic tag needs a name")
-        else:
-            raise ValueError(f"unknown tag kind: {self.kind!r}")
-
-    def __str__(self) -> str:
-        if self.kind == "g":
-            return self.name
-        if self.kind == "p":
-            return f"p({self.parent},{self.index})"
-        return f"{self.kind}{self.index}"
-
-
-def U(i: int) -> Tag:
-    return Tag("u", i)
-
-
-def V(i: int) -> Tag:
-    return Tag("v", i)
-
-
-def W(i: int) -> Tag:
-    return Tag("w", i)
-
-
-def Y(i: int) -> Tag:
-    return Tag("y", i)
-
-
-def Z(i: int) -> Tag:
-    return Tag("z", i)
-
-
-def pendant(parent: Tag, j: int) -> Tag:
-    return Tag("p", j, parent=parent)
-
-
-def generic(name: str) -> Tag:
-    return Tag("g", name=name)
-
-
-def parse_tag(text: str) -> Tag:
-    """Parse the tag grammar used in graph files.
-
-    Role tags look like "u3", pendants like "p(u3,2)"; anything else is kept
-    as a generic tag with the text as its name.
-    """
-    m = _ROLE_RE.match(text)
-    if m:
-        return Tag(m.group(1), int(m.group(2)))
-    m = _PENDANT_RE.match(text)
-    if m:
-        parent = parse_tag(m.group(1))
-        if parent.kind != "p":
-            return Tag("p", int(m.group(2)), parent=parent)
-    return generic(text)
+def pendant(parent: str, j: int) -> str:
+    """The tag of pendant j (1-based) of the vertex tagged parent."""
+    return f"p({parent},{j})"
 
 
 @dataclass(frozen=True)
@@ -116,14 +42,8 @@ class Family:
     m: Optional[int] = None
 
     def to_json_obj(self) -> dict:
-        obj = {"kind": self.kind}
-        if self.n is not None:
-            obj["n"] = self.n
-        if self.k is not None:
-            obj["k"] = self.k
-        if self.m is not None:
-            obj["m"] = self.m
-        return obj
+        obj = {"kind": self.kind, "n": self.n, "k": self.k, "m": self.m}
+        return {key: value for key, value in obj.items() if value is not None}
 
     @staticmethod
     def from_json_obj(obj: dict) -> "Family":
@@ -136,12 +56,7 @@ class Family:
             if value is not None and not _is_int(value):
                 raise ValueError(
                     f"family field {name!r} must be an int or null")
-        return Family(
-            kind=obj["kind"],
-            n=obj.get("n"),
-            k=obj.get("k"),
-            m=obj.get("m"),
-        )
+        return Family(obj["kind"], obj.get("n"), obj.get("k"), obj.get("m"))
 
 
 class Graph:
@@ -152,9 +67,9 @@ class Graph:
     and that every endpoint is a declared vertex.
     """
 
-    __slots__ = ("tags", "edges", "family", "_adj", "_tag_index")
+    __slots__ = ("tags", "edges", "family", "_adj")
 
-    def __init__(self, tags: Sequence[Tag], edges: Iterable[tuple],
+    def __init__(self, tags: Sequence[str], edges: Iterable[tuple],
                  family: Optional[Family] = None):
         self.tags = tuple(tags)
         p = len(self.tags)
@@ -171,7 +86,6 @@ class Graph:
         self.edges = tuple(sorted(seen))
         self.family = family
         self._adj = None
-        self._tag_index = None
 
     @property
     def p(self) -> int:
@@ -195,10 +109,8 @@ class Graph:
         return len(self.adjacency()[v])
 
     def tag_index(self) -> dict:
-        """Map from tag string to vertex id."""
-        if self._tag_index is None:
-            self._tag_index = {str(t): i for i, t in enumerate(self.tags)}
-        return self._tag_index
+        """Map from tag to vertex id."""
+        return {t: i for i, t in enumerate(self.tags)}
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -217,7 +129,7 @@ class Graph:
     def to_json_obj(self) -> dict:
         return {
             "family": self.family.to_json_obj() if self.family else None,
-            "vertices": [{"id": i, "tag": str(t)} for i, t in enumerate(self.tags)],
+            "vertices": [{"id": i, "tag": t} for i, t in enumerate(self.tags)],
             "edges": [[a, b] for a, b in self.edges],
         }
 
@@ -234,7 +146,8 @@ class Graph:
         """Parse a graph document, raising ValueError on anything malformed.
 
         Ids and edge endpoints must be ints (bools and floats are rejected),
-        vertex entries objects with a string tag, and tags unique.
+        vertex entries objects with a non-empty string tag, and tags
+        unique.  Tags are kept exactly as written.
         """
         if not isinstance(obj, dict):
             raise ValueError("graph document must be a JSON object")
@@ -250,12 +163,12 @@ class Graph:
             if not _is_int(entry.get("id")) or entry["id"] != i:
                 raise ValueError("vertex ids must be dense 0..p-1 in order")
             text = entry.get("tag")
-            if not isinstance(text, str):
-                raise ValueError(f"vertex {i} needs a string tag")
+            if not isinstance(text, str) or not text:
+                raise ValueError(f"vertex {i} needs a non-empty string tag")
             if text in seen_tags:
                 raise ValueError(f"duplicate vertex tag {text!r}")
             seen_tags.add(text)
-            tags.append(parse_tag(text))
+            tags.append(text)
         pairs = []
         for e in edges:
             if not (isinstance(e, list) and len(e) == 2
@@ -284,7 +197,7 @@ def path_graph(n: int) -> Graph:
     """Path on n vertices tagged v1..vn."""
     if n < 1:
         raise ValueError("path_graph needs n >= 1")
-    return Graph([V(i) for i in range(1, n + 1)],
+    return Graph([f"v{i}" for i in range(1, n + 1)],
                  [(i, i + 1) for i in range(n - 1)])
 
 
@@ -293,15 +206,15 @@ def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle_graph needs n >= 3")
     edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
-    return Graph([V(i) for i in range(1, n + 1)], edges)
+    return Graph([f"v{i}" for i in range(1, n + 1)], edges)
 
 
 def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     """Cartesian product: (x1,x2)~(y1,y2) iff one coordinate is equal and the
-    other is adjacent.  Product vertices receive generic pair tags."""
+    other is adjacent.  Product vertices are tagged with the pair (t1,t2)."""
     if g1.p == 0 or g2.p == 0:
         raise ValueError("cartesian_product needs non-empty graphs")
-    tags = [generic(f"({t1},{t2})") for t1 in g1.tags for t2 in g2.tags]
+    tags = [f"({t1},{t2})" for t1 in g1.tags for t2 in g2.tags]
 
     def vid(i1, i2):
         return i1 * g2.p + i2
@@ -318,7 +231,8 @@ def cartesian_product(g1: Graph, g2: Graph) -> Graph:
 
 def _ladder_parts(n: int):
     """Tags and edges of the ladder on n rungs (n >= 2)."""
-    tags = [U(i) for i in range(1, n + 1)] + [V(i) for i in range(1, n + 1)]
+    tags = ([f"u{i}" for i in range(1, n + 1)]
+            + [f"v{i}" for i in range(1, n + 1)])
     edges = []
     for i in range(n - 1):
         edges.append((i, i + 1))          # u path
@@ -339,24 +253,20 @@ def ladder(n: int) -> Graph:
 def _append_pendants(tags: list, edges: list, m: int) -> None:
     """Append m pendant vertices and edges to every vertex in tags, grouped
     by parent in parent id order with pendant index ascending, so pendant j
-    of vertex x gets id p + x*m + j - 1.  Parents that are already pendants
-    get generic parent tags so pendant tags never nest.  A vertex that
-    already has pendants numbers the new ones after them, so tags stay
-    distinct."""
-    taken = {}  # parent tag text -> highest pendant index in tags
+    of vertex x gets id p + x*m + j - 1.  A vertex that already has
+    pendants numbers the new ones after them, so tags stay distinct."""
+    taken = {}  # parent tag -> highest pendant index in tags
     for t in tags:
-        if t.kind == "p" or t.kind == "g":
-            match = _PENDANT_RE.match(str(t))
-            if match:
-                parent, j = match.group(1), int(match.group(2))
-                taken[parent] = max(taken.get(parent, 0), j)
+        match = _PENDANT_RE.match(t)
+        if match:
+            parent, j = match.group(1), int(match.group(2))
+            taken[parent] = max(taken.get(parent, 0), j)
     for v in range(len(tags)):
-        t = tags[v]
-        parent_tag = t if t.kind != "p" else generic(str(t))
-        base = taken.get(str(parent_tag), 0) if taken else 0
+        parent = tags[v]
+        base = taken.get(parent, 0)
         for j in range(base + 1, base + m + 1):
             edges.append((v, len(tags)))
-            tags.append(pendant(parent_tag, j))
+            tags.append(pendant(parent, j))
 
 
 def corona_pendants(g: Graph, m: int) -> Graph:
@@ -375,14 +285,14 @@ def corona_pendants(g: Graph, m: int) -> Graph:
 def subdivide(g: Graph) -> Graph:
     """Replace every edge (a,b) by a-c and c-b through a fresh midpoint c.
 
-    Midpoints are appended in canonical edge order and get generic tags
+    Midpoints are appended in canonical edge order and get tags
     s(tagA,tagB); the result has p+q vertices and 2q edges.
     """
     tags = list(g.tags)
     edges = []
     for a, b in g.edges:
         mid = len(tags)
-        tags.append(generic(f"s({g.tags[a]},{g.tags[b]})"))
+        tags.append(f"s({g.tags[a]},{g.tags[b]})")
         edges.append((a, mid))
         edges.append((mid, b))
     return Graph(tags, edges)
@@ -392,7 +302,8 @@ def triangular_snake(k: int) -> Graph:
     """Chain of k triangles: path u1..u(k+1) with apex wi over each edge."""
     if k < 1:
         raise ValueError("triangular_snake needs k >= 1")
-    tags = [U(i) for i in range(1, k + 2)] + [W(i) for i in range(1, k + 1)]
+    tags = ([f"u{i}" for i in range(1, k + 2)]
+            + [f"w{i}" for i in range(1, k + 1)])
     edges = []
     for i in range(k):
         w = k + 1 + i
@@ -408,15 +319,34 @@ def triangular_snake(k: int) -> Graph:
 # also needs m >= 1
 _THEOREM_DOMAINS = {1: ("n", 2), 2: ("n", 2), 3: ("k", 1)}
 
+# largest edge count a theorem instance may have, about eight times the
+# largest benchmark instance (t1(2000,30), q = 125,998); building, labeling
+# and verifying take time and memory linear in q
+MAX_THEOREM_Q = 1_000_000
+
+
+def theorem_q(number: int, a: int, m: int) -> int:
+    """Edge count of theorem `number`'s graph at size a (n or k) with m
+    pendants per vertex."""
+    if number == 1:
+        return 2 * m * a + 3 * a - 2
+    if number == 2:
+        return m * (5 * a - 2) + 2 * (3 * a - 2)
+    return (5 * m + 6) * a + m
+
 
 def check_theorem_domain(number: int, a: int, m: int) -> None:
     """Raise ValueError unless theorem `number` is defined at size a and m
-    pendants per vertex."""
+    pendants per vertex, with at most MAX_THEOREM_Q edges."""
     param, least = _THEOREM_DOMAINS[number]
     if a < least:
         raise ValueError(f"theorem{number} needs {param} >= {least}")
     if m < 1:
         raise ValueError(f"theorem{number} needs m >= 1")
+    q = theorem_q(number, a, m)
+    if q > MAX_THEOREM_Q:
+        raise ValueError(f"theorem{number} at {param}={a}, m={m} has "
+                         f"q={q} edges; the limit is {MAX_THEOREM_Q}")
 
 
 def build_theorem1(n: int, m: int) -> Graph:
@@ -442,9 +372,9 @@ def build_theorem2(n: int, m: int) -> Graph:
     """
     check_theorem_domain(2, n, m)
     side = 2 * n - 1
-    tags = ([U(i) for i in range(1, side + 1)]
-            + [V(i) for i in range(1, side + 1)]
-            + [W(j) for j in range(1, n + 1)])
+    tags = ([f"u{i}" for i in range(1, side + 1)]
+            + [f"v{i}" for i in range(1, side + 1)]
+            + [f"w{j}" for j in range(1, n + 1)])
     edges = []
     for i in range(side - 1):
         edges.append((i, i + 1))                  # u path
@@ -468,11 +398,8 @@ def build_theorem3(k: int, m: int) -> Graph:
     p = (5k+1)(m+1), q = (5m+6)k + m.
     """
     check_theorem_domain(3, k, m)
-    tags = ([U(i) for i in range(1, k + 2)]
-            + [V(i) for i in range(1, k + 1)]
-            + [W(i) for i in range(1, k + 1)]
-            + [Y(i) for i in range(1, k + 1)]
-            + [Z(i) for i in range(1, k + 1)])
+    tags = ([f"u{i}" for i in range(1, k + 2)]
+            + [f"{c}{i}" for c in "vwyz" for i in range(1, k + 1)])
     v0, w0, y0, z0 = k + 1, 2 * k + 1, 3 * k + 1, 4 * k + 1
     edges = []
     for i in range(k):
@@ -501,8 +428,10 @@ def two_coloring(g: Graph):
             continue
         colors[root] = 0
         queue = [root]
-        while queue:
-            v = queue.pop(0)
+        head = 0
+        while head < len(queue):
+            v = queue[head]
+            head += 1
             for nb in adj[v]:
                 if colors[nb] == -1:
                     colors[nb] = colors[v] ^ 1

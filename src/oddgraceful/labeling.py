@@ -61,9 +61,9 @@ class Violation:
     def to_json_obj(self, g: Graph) -> dict:
         return {
             "kind": self.kind,
-            "vertices": [str(g.tags[v]) for v in self.vertex_ids],
+            "vertices": [g.tags[v] for v in self.vertex_ids],
             "vertex_ids": list(self.vertex_ids),
-            "edges": [[str(g.tags[a]), str(g.tags[b])] for a, b in self.edge_ids],
+            "edges": [[g.tags[a], g.tags[b]] for a, b in self.edge_ids],
             "edge_ids": [[a, b] for a, b in self.edge_ids],
             "label": self.label,
         }
@@ -71,10 +71,10 @@ class Violation:
     def short(self, g: Graph) -> str:
         """Compact comma-free rendering used in sweep CSV cells.
 
-        Tag commas are replaced by '.' so the cell never needs quoting.
+        Commas in tags are replaced by '.' so the cell never needs quoting.
         """
         def tag(v):
-            return str(g.tags[v]).replace(",", ".")
+            return g.tags[v].replace(",", ".")
 
         if self.kind == MISSING_VERTEX_LABEL:
             return f"{self.kind}({tag(self.vertex_ids[0])})"

@@ -84,13 +84,15 @@ def _bfs_order(g: Graph):
     ties), neighbors visited in ascending id; restarted per component.
     Returns (order, connected)."""
     adj = g.adjacency()
-    deg = [len(a) for a in adj]
+    by_degree = sorted(range(g.p), key=lambda v: (-len(adj[v]), v))
     visited = [False] * g.p
     order = []
     roots = 0
+    next_root = 0  # every vertex before it in by_degree is visited
     while len(order) < g.p:
-        root = max((v for v in range(g.p) if not visited[v]),
-                   key=lambda v: (deg[v], -v))
+        while visited[by_degree[next_root]]:
+            next_root += 1
+        root = by_degree[next_root]
         roots += 1
         visited[root] = True
         queue = [root]

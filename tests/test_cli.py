@@ -150,6 +150,32 @@ def test_verify_truncated_json(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("resize", [lambda arr: arr + [0],
+                                    lambda arr: arr[:-1]],
+                         ids=["long", "short"])
+@pytest.mark.parametrize("command", ["verify", "export"])
+def test_labeling_array_length_mismatch_exits_2(tmp_path, capsys, command,
+                                                resize):
+    gpath, lpath = gen_pair(tmp_path, capsys, 1, "n", 2, 1)
+    doc = json.loads(lpath.read_text())
+    doc["labels"] = resize(doc["labels"])
+    lpath.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, command, str(gpath), str(lpath))
+    assert_one_error_line(code, stdout, err)
+    assert "length" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("label", "--theorem", "1", "--n", "100000000", "--m", "1"),
+    ("gen", "--family", "sub-tri-snake", "--k", "90910", "--m", "1"),
+])
+def test_oversized_instance_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert_one_error_line(code, stdout, err)
+    assert "limit" in err and not out.exists()
+
+
 def write_graph(tmp_path, g, name="g.json"):
     path = tmp_path / name
     path.write_text(g.to_json())
@@ -222,7 +248,9 @@ def test_parse_grid():
 @pytest.mark.parametrize("grid", ["theorem1:n=1..3,m=1",
                                   "theorem2:n=0,m=1..2",
                                   "theorem3:k=0..2,m=1",
-                                  "theorem1:n=2,m=1;theorem3:k=1,m=0..1"])
+                                  "theorem1:n=2,m=1;theorem3:k=1,m=0..1",
+                                  "theorem1:n=2..100000000,m=1",
+                                  "theorem3:k=1,m=1..100000000"])
 def test_sweep_rejects_grid_outside_theorem_domain(tmp_path, capsys, grid):
     out = tmp_path / "s.csv"
     code, stdout, err = run(capsys, "sweep", "--grid", grid,

@@ -4,12 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oddgraceful
 from oddgraceful import (Graph, build_theorem1, build_theorem2,
                          build_theorem3, cartesian_product, corona_pendants,
-                         cycle_graph, is_bipartite, ladder, parse_tag,
-                         path_graph, pendant, subdivide, triangular_snake,
-                         two_coloring)
-from oddgraceful.graphs import U, V, W, generic
+                         cycle_graph, is_bipartite, ladder, path_graph,
+                         subdivide, triangular_snake, two_coloring)
+from oddgraceful.graphs import (MAX_THEOREM_Q, check_theorem_domain,
+                                theorem_q)
 
 
 def test_path_graph_counts():
@@ -104,11 +105,7 @@ def test_corona_pendant_tags_and_degrees():
 
 def test_corona_over_pendants_does_not_nest_tags():
     g = corona_pendants(corona_pendants(path_graph(1), 1), 1)
-    kinds = {t.kind for t in g.tags}
-    assert "p" in kinds
-    for t in g.tags:
-        if t.kind == "p":
-            assert t.parent.kind != "p"
+    assert g.tags == ("v1", "p(v1,1)", "p(v1,2)", "p(p(v1,1),1)")
 
 
 def test_subdivide_examples():
@@ -156,6 +153,27 @@ def test_build_theorem3_counts(k, m):
     assert g.q == (5 * m + 6) * k + m
 
 
+@pytest.mark.parametrize("number, build",
+                         [(1, build_theorem1), (2, build_theorem2),
+                          (3, build_theorem3)])
+def test_theorem_q_matches_builders(number, build):
+    for a in range(2, 8):
+        for m in range(1, 5):
+            assert theorem_q(number, a, m) == build(a, m).q
+
+
+def test_theorem_size_limit():
+    # theorem3 at k = 90909, m = 1 has exactly q = 11k + 1 = 10^6 edges
+    assert theorem_q(3, 90909, 1) == MAX_THEOREM_Q
+    check_theorem_domain(3, 90909, 1)
+    for number, a, m in ((3, 90910, 1), (1, 100_000_000, 1),
+                         (2, 2, 10**7)):
+        with pytest.raises(ValueError, match="limit"):
+            check_theorem_domain(number, a, m)
+    with pytest.raises(ValueError, match="limit"):
+        build_theorem1(100_000_000, 1)
+
+
 def test_builders_reject_domain_violations():
     for bad in (lambda: build_theorem1(1, 1), lambda: build_theorem1(2, 0),
                 lambda: build_theorem2(1, 1), lambda: build_theorem2(2, 0),
@@ -177,9 +195,9 @@ def test_pendant_degree_property():
                              (build_theorem2(2, 3), 8, 3),
                              (build_theorem3(2, 1), 11, 1)):
         for v in range(skeleton_p):
-            assert g.tags[v].kind != "p"
+            assert not g.tags[v].startswith("p(")
         for v in range(skeleton_p, g.p):
-            assert g.tags[v].kind == "p"
+            assert g.tags[v].startswith("p(")
             assert g.degree(v) == 1
 
 
@@ -247,11 +265,11 @@ def test_construction_determinism():
 
 def test_graph_validation():
     with pytest.raises(ValueError):
-        Graph([V(1)], [(0, 0)])
+        Graph(["v1"], [(0, 0)])
     with pytest.raises(ValueError):
-        Graph([V(1), V(2)], [(0, 2)])
+        Graph(["v1", "v2"], [(0, 2)])
     with pytest.raises(ValueError):
-        Graph([V(1), V(2)], [(0, 1), (1, 0)])
+        Graph(["v1", "v2"], [(0, 1), (1, 0)])
 
 
 def test_two_coloring_alternates():
@@ -260,19 +278,12 @@ def test_two_coloring_alternates():
     assert two_coloring(cycle_graph(3)) is None
 
 
-def test_tag_grammar_round_trip():
-    for s in ("u3", "v2", "w1", "y4", "z2", "p(u3,2)", "p(w10,7)",
-              "s(u1,u2)", "(v1,v2)"):
-        assert str(parse_tag(s)) == s
-
-
-def test_pendant_tag_invariant():
-    with pytest.raises(ValueError):
-        pendant(pendant(U(1), 1), 1)
-    with pytest.raises(ValueError):
-        W(0)
-    g = generic("mid")
-    assert pendant(g, 2).parent == g
+def test_package_exports_resolve_without_tag_api():
+    for name in oddgraceful.__all__:
+        assert hasattr(oddgraceful, name), name
+    removed = {"Tag", "U", "V", "W", "Y", "Z", "generic", "parse_tag"}
+    assert not removed & set(oddgraceful.__all__)
+    assert not [name for name in removed if hasattr(oddgraceful, name)]
 
 
 def test_graph_json_round_trip_byte_identical():
@@ -283,6 +294,7 @@ def test_graph_json_round_trip_byte_identical():
               build_theorem3(2, 2), subdivide(triangular_snake(2)), twice):
         text = g.to_json()
         back = Graph.from_json(text)
+        assert back == g
         assert back.to_json() == text
         assert back.fingerprint() == g.fingerprint()
         assert text.endswith("\n")
@@ -322,6 +334,14 @@ def _duplicate_tag(doc):
     doc["vertices"][1]["tag"] = "u1"
 
 
+def _empty_tag(doc):
+    doc["vertices"][0]["tag"] = ""
+
+
+def _missing_tag(doc):
+    del doc["vertices"][0]["tag"]
+
+
 def _family_kind_not_string(doc):
     doc["family"]["kind"] = ["x"]
 
@@ -340,7 +360,8 @@ def _family_k_float(doc):
 
 # ways to break the ladder(2) graph document; each must be rejected
 MALFORMED_GRAPH_DOCS = [_vertex_not_object, _tag_not_string, _float_edge_id,
-                        _bool_edge, _duplicate_tag, _family_kind_not_string,
+                        _bool_edge, _duplicate_tag, _empty_tag, _missing_tag,
+                        _family_kind_not_string,
                         _family_n_not_int, _family_m_bool, _family_k_float]
 
 
@@ -359,7 +380,7 @@ def small_graphs(draw):
     pairs = [(a, b) for a in range(p) for b in range(a + 1, p)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10)
                  if pairs else st.just([]))
-    return Graph([V(i + 1) for i in range(p)], edges)
+    return Graph([f"v{i + 1}" for i in range(p)], edges)
 
 
 @given(small_graphs())

@@ -1,6 +1,8 @@
 """Search engine: corpus verdicts, oracle agreement, budgets, determinism
 and pinned statistics."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,7 +11,6 @@ from oddgraceful import (Graph, SearchConfig, build_theorem1, build_theorem2,
                          build_theorem3, corona_pendants, cycle_graph,
                          exhaustive_oracle, find_odd_graceful, path_graph,
                          triangular_snake, verify_odd_graceful)
-from oddgraceful.graphs import V
 
 
 def corpus():
@@ -158,7 +159,7 @@ def test_exhaustion_backtracks_equal_nodes():
 
 
 def test_disconnected_graph_searched():
-    g = Graph([V(1), V(2), V(3), V(4)], [(0, 1), (2, 3)])
+    g = Graph(["v1", "v2", "v3", "v4"], [(0, 1), (2, 3)])
     outcome = find_odd_graceful(g)
     assert outcome.status == "found"
     assert verify_odd_graceful(g, outcome.labeling).ok
@@ -170,9 +171,19 @@ def test_single_vertex_and_empty():
     assert exhaustive_oracle(path_graph(1)).status == "found"
     with pytest.raises(ValueError):
         find_odd_graceful(Graph([], []))
-    two_isolated = Graph([V(1), V(2)], [])
+    two_isolated = Graph(["v1", "v2"], [])
     assert find_odd_graceful(two_isolated).status == "none"
     assert exhaustive_oracle(two_isolated).status == "none"
+
+
+def test_many_components_placed_in_linear_time():
+    # one edge plus 20,000 isolated vertices: choosing each component's root
+    # by rescanning every vertex is quadratic, about a minute at this size
+    g = Graph([f"v{i + 1}" for i in range(20_002)], [(0, 1)])
+    t0 = time.perf_counter()
+    outcome = find_odd_graceful(g)
+    assert outcome.status == "none"
+    assert time.perf_counter() - t0 < 10.0
 
 
 def test_negative_budgets_rejected():
@@ -199,7 +210,7 @@ def searchable_graphs(draw):
     pairs = [(a, b) for a in range(p) for b in range(a + 1, p)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=6)
                  if pairs else st.just([]))
-    return Graph([V(i + 1) for i in range(p)], edges)
+    return Graph([f"v{i + 1}" for i in range(p)], edges)
 
 
 @given(searchable_graphs())
