@@ -11,7 +11,7 @@ from .graphs import (Family, Graph, build_theorem1, build_theorem2,
                      cycle_graph, is_bipartite, ladder, path_graph, pendant,
                      subdivide, triangular_snake, two_coloring)
 from .labeling import (VerificationReport, Violation, complement_labeling,
-                       edge_label, is_odd_graceful, labeling_from_json_obj,
+                       is_odd_graceful, labeling_from_json_obj,
                        labeling_to_json, verify_odd_graceful)
 from .formulas import (FormulaInterpretation, label_theorem1, label_theorem2,
                        label_theorem3)
@@ -25,7 +25,7 @@ __all__ = [
     "cartesian_product", "corona_pendants", "cycle_graph", "is_bipartite",
     "ladder", "path_graph", "pendant", "subdivide", "triangular_snake",
     "two_coloring",
-    "VerificationReport", "Violation", "complement_labeling", "edge_label",
+    "VerificationReport", "Violation", "complement_labeling",
     "is_odd_graceful", "labeling_from_json_obj", "labeling_to_json",
     "verify_odd_graceful",
     "FormulaInterpretation", "label_theorem1", "label_theorem2",

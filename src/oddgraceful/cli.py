@@ -43,7 +43,10 @@ def _fail(msg: str) -> int:
 
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_graph(path: str) -> Graph:
@@ -53,11 +56,10 @@ def _load_graph(path: str) -> Graph:
 def _load_labeling(path: str, g: Graph):
     """Labels of a labeling file, raising ValueError unless the file is bound
     to g by its fingerprint and has one array entry per vertex of g."""
-    raw = _load_json(path)
-    fp, labels = labeling_from_json_obj(raw)
+    fp, labels = labeling_from_json_obj(_load_json(path))
     if fp != g.fingerprint():
         raise ValueError("labeling fingerprint does not match the graph")
-    if len(raw["labels"]) != g.p:
+    if len(labels) != g.p:
         raise ValueError(
             "labeling array length does not match the vertex count")
     return labels
@@ -313,20 +315,21 @@ def cmd_export(args) -> int:
 
 def to_dot(g: Graph, labels=None) -> str:
     """DOT rendering with stable ordering; vertex labels become xlabel
-    annotations and edge labels become edge label annotations."""
+    annotations and edge labels become edge label annotations.  Tags are
+    quoted with backslash and double quote escaped."""
+    if labels is None:
+        labels = [None] * g.p
+    ids = ['"' + tag.replace("\\", "\\\\").replace('"', '\\"') + '"'
+           for tag in g.tags]
     lines = ["graph G {"]
-    for v in range(g.p):
-        tag = g.tags[v]
-        if labels is not None and v in labels:
-            lines.append(f'  "{tag}" [xlabel={labels[v]}];')
-        else:
-            lines.append(f'  "{tag}";')
+    for vid, x in zip(ids, labels):
+        lines.append(f"  {vid};" if x is None else f"  {vid} [xlabel={x}];")
     for a, b in g.edges:
-        ta, tb = g.tags[a], g.tags[b]
-        if labels is not None and a in labels and b in labels:
-            lines.append(f'  "{ta}" -- "{tb}" [label={abs(labels[a] - labels[b])}];')
+        edge = f"  {ids[a]} -- {ids[b]}"
+        if labels[a] is None or labels[b] is None:
+            lines.append(edge + ";")
         else:
-            lines.append(f'  "{ta}" -- "{tb}";')
+            lines.append(f"{edge} [label={abs(labels[a] - labels[b])}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -19,18 +19,18 @@ output, callers run verify_odd_graceful as a separate step.
 Labelers build no graph: q comes from each family's closed form and vertex
 ids from the canonical id order of build_theorem1/2/3 (see graphs.py), with
 pendant j of the vertex with id x at P0 + x*m + j - 1, where P0 is the
-number of skeleton vertices.
+number of skeleton vertices.  Each labeling is a list of length
+p = P0*(m+1) indexed by those ids; an uncovered vertex keeps None.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Tuple
 
 from .canon import canonical_dumps
 from .graphs import check_theorem_domain, pendant, theorem_q
-
-Labeling = Dict[int, int]
+from .labeling import Labeling
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def label_theorem1(n: int, m: int, apply_repairs: bool = False,
     check_theorem_domain(1, n, m)
     q = theorem_q(1, n, m)
     p0 = 2 * n
-    lab: Labeling = {}
+    lab: Labeling = [None] * (p0 * (m + 1))
     repaired = False
 
     for i in range(1, n + 1):
@@ -155,7 +155,7 @@ def label_theorem2(n: int, m: int, apply_repairs: bool = False,
     q = theorem_q(2, n, m)
     side = 2 * n - 1
     p0 = 5 * n - 2
-    lab: Labeling = {}
+    lab: Labeling = [None] * (p0 * (m + 1))
 
     for i in range(1, side + 1):
         u, v = i - 1, side + i - 1
@@ -229,7 +229,7 @@ def label_theorem3(k: int, m: int, apply_repairs: bool = False,
     check_theorem_domain(3, k, m)
     q = theorem_q(3, k, m)
     p0 = 5 * k + 1
-    lab: Labeling = {}
+    lab: Labeling = [None] * (p0 * (m + 1))
     a4 = 4 * m + 4
     b = 2 * m + 4
 

@@ -1,26 +1,28 @@
 """Exact verification of the odd-graceful property.
 
-A labeling maps vertex ids to non-negative integers; each edge gets the
-absolute difference of its endpoint labels.  A labeling of a graph with q
-edges is odd-graceful when the vertex labels are pairwise distinct values in
+A labeling is the `labels` array of the labeling file: a list indexed by
+vertex id, with None for an unlabeled vertex.  Each edge gets the absolute
+difference of its endpoint labels.  A labeling of a graph with q edges is
+odd-graceful when the vertex labels are pairwise distinct values in
 [0, 2q-1] and the induced edge labels are exactly the odd numbers
 {1, 3, ..., 2q-1}.
 
 Verification is exhaustive: every violated condition is reported, not just
 the first, and violations come out in a canonical order (kind, then involved
 ids) so reports diff cleanly across sweep runs.  Labelings may be partial;
-unlabeled vertices become MissingVertexLabel violations rather than errors.
+unlabeled vertices become MissingVertexLabel violations, but a labeling
+whose length is not the vertex count raises ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .canon import canonical_dumps
 from .graphs import Graph
 
-Labeling = Dict[int, int]
+Labeling = List[Optional[int]]
 
 MISSING_VERTEX_LABEL = "MissingVertexLabel"
 VERTEX_LABEL_OUT_OF_RANGE = "VertexLabelOutOfRange"
@@ -106,12 +108,12 @@ class VerificationReport:
         return canonical_dumps(self.to_json_obj(g))
 
 
-def edge_label(labels: Labeling, edge: Tuple[int, int]) -> int:
-    """Absolute difference of the endpoint labels of one edge."""
-    a, b = edge
-    if a not in labels or b not in labels:
-        raise KeyError(f"edge ({a},{b}) has an unlabeled endpoint")
-    return abs(labels[a] - labels[b])
+def _check_labeling(g: Graph, labels: Labeling) -> None:
+    """Reject anything but a list with one entry per vertex of g."""
+    if not isinstance(labels, list):
+        raise TypeError(f"a labeling is a list, not {type(labels).__name__}")
+    if len(labels) != g.p:
+        raise ValueError(f"{len(labels)} labels for {g.p} vertices")
 
 
 def verify_odd_graceful(g: Graph, labels: Labeling) -> VerificationReport:
@@ -122,19 +124,18 @@ def verify_odd_graceful(g: Graph, labels: Labeling) -> VerificationReport:
     larger can.  Out-of-range and duplicate vertex labels still contribute
     to edge-label computation so reports stay exhaustive.
     """
+    _check_labeling(g, labels)
     q = g.q
     max_label = 2 * q - 1 if q > 0 else 0
     violations = []
 
     # first and second holder of each vertex value and each edge value; a
     # duplicate is reported by its first two holders only
-    vertex_first: Dict[int, int] = {}
-    vertex_second: Dict[int, int] = {}
-    for v in range(g.p):
-        if v not in labels:
+    vertex_first, vertex_second = {}, {}
+    for v, x in enumerate(labels):
+        if x is None:
             violations.append(Violation(MISSING_VERTEX_LABEL, vertex_ids=(v,)))
             continue
-        x = labels[v]
         if not (0 <= x <= max_label):
             violations.append(
                 Violation(VERTEX_LABEL_OUT_OF_RANGE, vertex_ids=(v,), label=x))
@@ -148,13 +149,12 @@ def verify_odd_graceful(g: Graph, labels: Labeling) -> VerificationReport:
             label=value,
         ))
 
-    edge_first: Dict[int, Tuple[int, int]] = {}
-    edge_second: Dict[int, Tuple[int, int]] = {}
+    edge_first, edge_second = {}, {}
     for e in g.edges:
-        a, b = e
-        if a not in labels or b not in labels:
+        x, y = labels[e[0]], labels[e[1]]
+        if x is None or y is None:
             continue
-        d = abs(labels[a] - labels[b])
+        d = abs(x - y)
         if d % 2 == 0:
             violations.append(
                 Violation(EDGE_LABEL_EVEN, edge_ids=(e,), label=d))
@@ -179,11 +179,11 @@ def verify_odd_graceful(g: Graph, labels: Labeling) -> VerificationReport:
 def is_odd_graceful(g: Graph, labels: Labeling) -> bool:
     """Fast boolean form of verify_odd_graceful: same definition, first
     failure short-circuits, no report is built."""
+    _check_labeling(g, labels)
     q = g.q
     max_label = 2 * q - 1 if q > 0 else 0
     seen = bytearray(max_label + 1)
-    for v in range(g.p):
-        x = labels.get(v)
+    for x in labels:
         if x is None or not (0 <= x <= max_label) or seen[x]:
             return False
         seen[x] = 1
@@ -206,23 +206,22 @@ def complement_labeling(g: Graph, labels: Labeling) -> Labeling:
     involution that preserves the odd-graceful property.  Requires a total
     labeling.
     """
+    _check_labeling(g, labels)
+    if None in labels:
+        raise ValueError(f"vertex {labels.index(None)} is unlabeled")
     top = 2 * g.q - 1
-    out = {}
-    for v in range(g.p):
-        if v not in labels:
-            raise ValueError(f"vertex {v} is unlabeled")
-        out[v] = top - labels[v]
-    return out
+    return [top - x for x in labels]
 
 
 # -- file format -------------------------------------------------------------
 
 
 def labeling_to_json(g: Graph, labels: Labeling) -> str:
-    """Labeling file: graph fingerprint plus a label array indexed by vertex
-    id, with null for unlabeled vertices."""
-    arr = [labels.get(v) for v in range(g.p)]
-    return canonical_dumps({"graph_fingerprint": g.fingerprint(), "labels": arr})
+    """Labeling file: graph fingerprint plus the labeling itself, an array
+    indexed by vertex id with null for unlabeled vertices."""
+    _check_labeling(g, labels)
+    return canonical_dumps({"graph_fingerprint": g.fingerprint(),
+                            "labels": labels})
 
 
 def labeling_from_json_obj(obj: dict) -> Tuple[str, Labeling]:
@@ -237,11 +236,7 @@ def labeling_from_json_obj(obj: dict) -> Tuple[str, Labeling]:
             "labeling document needs 'graph_fingerprint' and 'labels'") from exc
     if not isinstance(arr, list):
         raise ValueError("'labels' must be an array indexed by vertex id")
-    labels = {}
     for v, x in enumerate(arr):
-        if x is None:
-            continue
-        if not isinstance(x, int) or isinstance(x, bool):
+        if x is not None and (not isinstance(x, int) or isinstance(x, bool)):
             raise ValueError(f"label at index {v} is not an integer")
-        labels[v] = x
-    return fp, labels
+    return fp, arr

@@ -60,13 +60,10 @@ class SearchOutcome:
     labeling: Optional[Labeling] = None
 
     def to_json_obj(self) -> dict:
-        labels = None
-        if self.labeling is not None:
-            labels = [self.labeling[v] for v in range(len(self.labeling))]
         return {
             "outcome": self.status,
             "reason": self.reason,
-            "labels": labels,
+            "labels": self.labeling,
             "stats": {
                 "nodes": self.stats.nodes_expanded,
                 "backtracks": self.stats.backtracks,
@@ -234,7 +231,7 @@ def find_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()
     if q == 0:
         elapsed = int((perf_counter() - t0) * 1000)
         if g.p == 1:
-            labeling = {0: 0}
+            labeling = [0]
             _assert_sound(g, labeling)
             return SearchOutcome("found", SearchStats(1, 0, elapsed, 1),
                                  labeling=labeling)
@@ -253,7 +250,9 @@ def find_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()
     elapsed = int((perf_counter() - t0) * 1000)
     stats = SearchStats(nodes, backtracks, elapsed, max_depth)
     if status == _FOUND:
-        labeling = {order[d]: pos_labels[d] for d in range(g.p)}
+        labeling = [None] * g.p
+        for v, x in zip(order, pos_labels):
+            labeling[v] = x
         _assert_sound(g, labeling)
         return SearchOutcome("found", stats, labeling=labeling)
     if status == _EXHAUSTED:
@@ -297,7 +296,7 @@ def exhaustive_oracle(g: Graph) -> SearchOutcome:
                 break
             used |= bit
         if ok:
-            labeling = dict(enumerate(perm))
+            labeling = list(perm)
             _assert_sound(g, labeling)
             elapsed = int((perf_counter() - t0) * 1000)
             return SearchOutcome(

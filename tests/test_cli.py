@@ -1,10 +1,16 @@
 """Command-line surface: exit codes, file round trips, sweep CSV, DOT."""
 
+import copy
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oddgraceful import Graph, build_theorem1, cycle_graph, ladder
+from oddgraceful import (Graph, build_theorem1, cycle_graph, ladder,
+                         labeling_to_json)
 from oddgraceful import cli
 from oddgraceful.cli import main, parse_grid
 
@@ -194,6 +200,15 @@ def test_malformed_graph_file_exits_2(tmp_path, capsys, break_doc):
         assert_one_error_line(*run(capsys, *argv))
 
 
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    gpath, lpath = gen_pair(tmp_path, capsys, 1, "n", 2, 1)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for argv in (("verify", deep, lpath), ("search", deep), ("export", deep),
+                 ("verify", gpath, deep), ("export", gpath, deep)):
+        assert_one_error_line(*run(capsys, *map(str, argv)))
+
+
 def test_search_found_and_none_and_budget(tmp_path, capsys):
     c4 = write_graph(tmp_path, cycle_graph(4), "c4.json")
     code, out, _ = run(capsys, "search", str(c4))
@@ -373,6 +388,31 @@ def test_export_dot_with_labels(tmp_path, capsys):
         assert f"[label={lab}]" in out
 
 
+def test_export_dot_escapes_quotes_and_backslashes(tmp_path, capsys):
+    g = Graph(['a"b', "a\\b"], [(0, 1)])
+    gpath = write_graph(tmp_path, g)
+    code, out, _ = run(capsys, "export", str(gpath))
+    assert code == 0
+    assert out.splitlines() == [
+        "graph G {",
+        '  "a\\"b";',
+        '  "a\\\\b";',
+        '  "a\\"b" -- "a\\\\b";',
+        "}",
+    ]
+    lpath = tmp_path / "labels.json"
+    lpath.write_text(labeling_to_json(g, [0, 1]))
+    code, out, _ = run(capsys, "export", str(gpath), str(lpath))
+    assert code == 0
+    assert out.splitlines() == [
+        "graph G {",
+        '  "a\\"b" [xlabel=0];',
+        '  "a\\\\b" [xlabel=1];',
+        '  "a\\"b" -- "a\\\\b" [label=1];',
+        "}",
+    ]
+
+
 def test_export_json_round_trip(tmp_path, capsys):
     g = build_theorem1(2, 1)
     gpath = write_graph(tmp_path, g)
@@ -391,3 +431,87 @@ def test_export_fingerprint_mismatch(tmp_path, capsys):
     other = write_graph(tmp_path, ladder(3), "other.json")
     code, _, _ = run(capsys, "export", str(other), str(lpath))
     assert code == 2
+
+
+# -- input contract fuzzing ----------------------------------------------------
+
+_SWAPPED = [None, True, -1, 2 ** 70, 1.5, "x", "", [], {}]
+
+
+def _paths(node, path=()):
+    """Every path from the root of a JSON document to one of its nodes."""
+    yield path
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _paths(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _paths(value, path + (i,))
+
+
+@st.composite
+def mutated(draw, doc):
+    """doc with one to three mutations: a field dropped, a value swapped for
+    one of another type, a value nested one level, or a length changed."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        parent, node = None, doc
+        for key in path:
+            parent, node = node, node[key]
+        op = draw(st.sampled_from(["drop", "swap", "nest", "grow", "shrink"]))
+        if op == "drop" and parent is not None:
+            del parent[path[-1]]
+            continue
+        if op == "grow" and isinstance(node, list):
+            node.append(copy.deepcopy(node[-1]) if node else 0)
+            continue
+        if op == "shrink" and isinstance(node, list) and node:
+            node.pop()
+            continue
+        if op == "nest":
+            new = draw(st.sampled_from([[node], {"x": node}]))
+        else:
+            new = copy.deepcopy(draw(st.sampled_from(_SWAPPED)))
+        if parent is None:
+            doc = new
+        else:
+            parent[path[-1]] = new
+    return doc
+
+
+_FUZZ_GRAPH = build_theorem1(2, 1)
+_FUZZ_GRAPH_DOC = _FUZZ_GRAPH.to_json_obj()
+_FUZZ_LABELING_DOC = json.loads(
+    labeling_to_json(_FUZZ_GRAPH, [13, 4, 0, 15, 8, 11, 1, None]))
+
+
+@given(st.one_of(
+    st.tuples(mutated(_FUZZ_GRAPH_DOC), st.just(_FUZZ_LABELING_DOC)),
+    st.tuples(st.just(_FUZZ_GRAPH_DOC), mutated(_FUZZ_LABELING_DOC)),
+    st.tuples(mutated(_FUZZ_GRAPH_DOC), mutated(_FUZZ_LABELING_DOC))))
+@settings(max_examples=150, deadline=None)
+def test_mutated_documents_exit_cleanly(tmp_path_factory, docs):
+    graph_doc, labeling_doc = docs
+    try:  # bind the labeling to a mutated graph that still loads
+        fp = Graph.from_json_obj(graph_doc).fingerprint()
+    except ValueError:
+        fp = None
+    if (fp and isinstance(labeling_doc, dict) and labeling_doc.get(
+            "graph_fingerprint") == _FUZZ_LABELING_DOC["graph_fingerprint"]):
+        labeling_doc = {**labeling_doc, "graph_fingerprint": fp}
+    base = tmp_path_factory.mktemp("fuzz")
+    gpath, lpath = base / "g.json", base / "l.json"
+    gpath.write_text(json.dumps(graph_doc))
+    lpath.write_text(json.dumps(labeling_doc))
+    for command in ("verify", "export"):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, str(gpath), str(lpath)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().startswith("error:")
+            assert err.getvalue().count("\n") == 1
+        else:
+            assert err.getvalue() == ""

@@ -25,19 +25,14 @@ T2_2_1 = ([4, 23, 6] + [0, 31, 2] + [23, 27]
 T3_1_1 = [0, 8, 23, 4, 7, 19, 3, 17, 2, 21, 12, 6]
 T3_1_2 = ([0, 12, 35, 6, 11, 29]
           + [3, 5, 27, 25, 2, 4, 33, 31, 20, 18, 8, 10])
-T3_2_1 = {0: 0, 1: 8, 2: 16, 3: 45, 4: 39, 5: 4, 6: 12, 7: 15, 8: 7,
-          9: 41, 10: 35, 11: 3, 12: 13, 13: 33, 14: 2, 15: 10, 16: 43,
-          17: 37, 19: 28, 20: 6, 21: 14}  # id 18 = p(y1,1) unassigned
-
-
-def as_list(labels, p):
-    return [labels[v] for v in range(p)]
+T3_2_1 = ([0, 8, 16, 45, 39, 4, 12, 15, 7, 41, 35]
+          + [3, 13, 33, 2, 10, 43, 37, None, 28, 6, 14])  # p(y1,1) unassigned
 
 
 def test_theorem1_frozen_instances():
     for (n, m), want in (((2, 1), T1_2_1), ((3, 1), T1_3_1), ((2, 2), T1_2_2)):
         labels, interp = label_theorem1(n, m)
-        assert as_list(labels, len(want)) == want
+        assert labels == want
         assert interp.uncovered == ()
         assert verify_odd_graceful(build_theorem1(n, m), labels).ok
 
@@ -87,7 +82,7 @@ def test_theorem1_n5_collision_witness():
 def test_theorem2_frozen_pass_instance():
     g = build_theorem2(3, 1)
     labels, interp = label_theorem2(3, 1)
-    assert as_list(labels, g.p) == T2_3_1
+    assert labels == T2_3_1
     report = verify_odd_graceful(g, labels)
     assert report.ok
     got = sorted(abs(labels[a] - labels[b]) for a, b in g.edges)
@@ -98,7 +93,7 @@ def test_theorem2_frozen_pass_instance():
 def test_theorem2_frozen_n2_collision():
     g = build_theorem2(2, 1)
     labels, _ = label_theorem2(2, 1)
-    assert as_list(labels, g.p) == T2_2_1
+    assert labels == T2_2_1
     report = verify_odd_graceful(g, labels)
     assert not report.ok
     dups = [v for v in report.violations if v.kind == DUPLICATE_VERTEX_LABEL]
@@ -139,7 +134,7 @@ def test_theorem2_literal_w_collides_with_v6_from_n4(n):
 def test_theorem3_frozen_instances():
     g = build_theorem3(1, 1)
     labels, interp = label_theorem3(1, 1)
-    assert as_list(labels, g.p) == T3_1_1
+    assert labels == T3_1_1
     assert interp.uncovered == ()
     report = verify_odd_graceful(g, labels)
     assert report.ok
@@ -148,7 +143,7 @@ def test_theorem3_frozen_instances():
 
     g = build_theorem3(1, 2)
     labels, _ = label_theorem3(1, 2)
-    assert as_list(labels, g.p) == T3_1_2
+    assert labels == T3_1_2
     assert verify_odd_graceful(g, labels).ok
 
 
@@ -202,7 +197,7 @@ def test_max_label_attained_on_passing_instances():
         g = builder(a, m)
         labels, _ = labeler(a, m)
         assert verify_odd_graceful(g, labels).ok
-        assert max(labels.values()) == 2 * g.q - 1
+        assert max(labels) == 2 * g.q - 1
 
 
 def test_labelers_are_deterministic():
@@ -257,9 +252,9 @@ def test_labeler_ids_and_q_match_the_built_graph(number, a, m, repairs):
     g = build(a, m)
     labels, interp = label(a, m, apply_repairs=repairs)
     idx = g.tag_index()
-    uncovered = [idx[str(t)] for t in interp.uncovered]
-    assert set(labels).isdisjoint(uncovered)
-    assert sorted([*labels, *uncovered]) == list(range(g.p))
+    uncovered = sorted(idx[str(t)] for t in interp.uncovered)
+    assert len(labels) == g.p
+    assert [v for v, x in enumerate(labels) if x is None] == uncovered
     assert labels[idx[TOP_VERTEX[number]]] == 2 * g.q - 1
 
 

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oddgraceful import (Graph, build_theorem1, complement_labeling,
-                         cycle_graph, edge_label, is_odd_graceful,
-                         label_theorem1, path_graph, verify_odd_graceful)
+                         cycle_graph, is_odd_graceful, label_theorem1,
+                         path_graph, verify_odd_graceful)
 from oddgraceful.labeling import (DUPLICATE_EDGE_LABEL,
                                   DUPLICATE_VERTEX_LABEL, EDGE_LABEL_EVEN,
                                   KIND_ORDER, MISSING_ODD_EDGE_LABEL,
@@ -18,25 +18,13 @@ from oddgraceful.labeling import (DUPLICATE_EDGE_LABEL,
                                   labeling_from_json_obj, labeling_to_json)
 
 
-def test_edge_label_values():
-    labels = {0: 0, 1: 15, 2: 7, 3: 7, 4: 4, 5: 17}
-    assert edge_label(labels, (0, 1)) == 15
-    assert edge_label(labels, (2, 3)) == 0
-    assert edge_label(labels, (4, 5)) == 13
-
-
-def test_edge_label_missing_endpoint():
-    with pytest.raises(KeyError):
-        edge_label({0: 1}, (0, 1))
-
-
 def test_p2_passes():
-    report = verify_odd_graceful(path_graph(2), {0: 0, 1: 1})
+    report = verify_odd_graceful(path_graph(2), [0, 1])
     assert report.ok and report.q == 1 and report.violations == ()
 
 
 def test_p3_consecutive_labels_fail():
-    report = verify_odd_graceful(path_graph(3), {0: 0, 1: 1, 2: 2})
+    report = verify_odd_graceful(path_graph(3), [0, 1, 2])
     assert not report.ok
     kinds = [v.kind for v in report.violations]
     assert kinds == [DUPLICATE_EDGE_LABEL, MISSING_ODD_EDGE_LABEL]
@@ -55,7 +43,7 @@ def test_theorem1_instance_passes_with_full_odd_edge_set():
 
 
 def test_missing_vertex_label_reported():
-    report = verify_odd_graceful(path_graph(3), {0: 0, 2: 3})
+    report = verify_odd_graceful(path_graph(3), [0, None, 3])
     assert not report.ok
     assert report.violations[0].kind == MISSING_VERTEX_LABEL
     assert report.violations[0].vertex_ids == (1,)
@@ -63,7 +51,7 @@ def test_missing_vertex_label_reported():
 
 def test_out_of_range_labels_reported():
     g = path_graph(2)  # q=1, range [0, 1]
-    report = verify_odd_graceful(g, {0: -1, 1: 2})
+    report = verify_odd_graceful(g, [-1, 2])
     kinds = {v.kind for v in report.violations}
     assert VERTEX_LABEL_OUT_OF_RANGE in kinds
     out = [v for v in report.violations if v.kind == VERTEX_LABEL_OUT_OF_RANGE]
@@ -72,14 +60,14 @@ def test_out_of_range_labels_reported():
 
 def test_duplicate_vertex_label_first_witness_pair():
     g = path_graph(4)
-    report = verify_odd_graceful(g, {0: 2, 1: 5, 2: 2, 3: 2})
+    report = verify_odd_graceful(g, [2, 5, 2, 2])
     dups = [v for v in report.violations if v.kind == DUPLICATE_VERTEX_LABEL]
     assert len(dups) == 1
     assert dups[0].vertex_ids == (0, 2) and dups[0].label == 2
 
 
 def test_even_edge_labels_reported():
-    report = verify_odd_graceful(path_graph(3), {0: 0, 1: 2, 2: 5})
+    report = verify_odd_graceful(path_graph(3), [0, 2, 5])
     evens = [v for v in report.violations if v.kind == EDGE_LABEL_EVEN]
     assert len(evens) == 1
     assert evens[0].edge_ids == ((0, 1),) and evens[0].label == 2
@@ -87,7 +75,7 @@ def test_even_edge_labels_reported():
 
 def test_violations_sorted_by_kind_then_ids():
     g = path_graph(4)  # q=3, range [0, 5]
-    report = verify_odd_graceful(g, {0: 9, 1: 9, 3: 0})
+    report = verify_odd_graceful(g, [9, 9, None, 0])
     kinds = [v.kind for v in report.violations]
     ranks = [KIND_ORDER.index(k) for k in kinds]
     assert ranks == sorted(ranks)
@@ -96,26 +84,26 @@ def test_violations_sorted_by_kind_then_ids():
 
 def test_verifier_is_deterministic():
     g = build_theorem1(2, 2)
-    labels = {v: (v * 7) % 10 for v in range(g.p)}
+    labels = [(v * 7) % 10 for v in range(g.p)]
     assert verify_odd_graceful(g, labels) == verify_odd_graceful(g, labels)
 
 
 def test_q_zero_single_vertex_accepts_only_zero():
     g = path_graph(1)
-    assert verify_odd_graceful(g, {0: 0}).ok
-    report = verify_odd_graceful(g, {0: 1})
+    assert verify_odd_graceful(g, [0]).ok
+    report = verify_odd_graceful(g, [1])
     assert [v.kind for v in report.violations] == [VERTEX_LABEL_OUT_OF_RANGE]
 
 
 def test_q_zero_two_isolated_vertices_cannot_pass():
     g = Graph(["v1", "v2"], [])
-    for labels in ({0: 0, 1: 0}, {0: 0, 1: 1}):
+    for labels in ([0, 0], [0, 1]):
         assert not verify_odd_graceful(g, labels).ok
 
 
 def test_complement_examples():
     g = path_graph(2)
-    assert complement_labeling(g, {0: 0, 1: 1}) == {0: 1, 1: 0}
+    assert complement_labeling(g, [0, 1]) == [1, 0]
 
 
 def test_complement_is_involution_and_preserves_verdict():
@@ -124,7 +112,7 @@ def test_complement_is_involution_and_preserves_verdict():
     comp = complement_labeling(g, labels)
     assert complement_labeling(g, comp) == labels
     assert verify_odd_graceful(g, comp).ok
-    broken = dict(labels)
+    broken = list(labels)
     broken[0] = labels[1]
     assert verify_odd_graceful(g, broken).ok == \
         verify_odd_graceful(g, complement_labeling(g, broken)).ok
@@ -132,7 +120,7 @@ def test_complement_is_involution_and_preserves_verdict():
 
 def test_complement_requires_total_labeling():
     with pytest.raises(ValueError):
-        complement_labeling(path_graph(2), {0: 0})
+        complement_labeling(path_graph(2), [0, None])
 
 
 def test_parity_bipartition_on_passing_labeling():
@@ -145,7 +133,7 @@ def test_parity_bipartition_on_passing_labeling():
 
 def test_report_json_shape():
     g = path_graph(3)
-    report = verify_odd_graceful(g, {0: 0, 1: 1, 2: 2})
+    report = verify_odd_graceful(g, [0, 1, 2])
     obj = json.loads(report.to_json(g))
     assert obj["ok"] is False and obj["q"] == 2
     assert obj["violations"][0]["kind"] == DUPLICATE_EDGE_LABEL
@@ -154,12 +142,29 @@ def test_report_json_shape():
 
 def test_labeling_json_round_trip_with_missing_labels():
     g = path_graph(3)
-    labels = {0: 4, 2: 1}
+    labels = [4, None, 1]
     text = labeling_to_json(g, labels)
     obj = json.loads(text)
     assert obj["labels"] == [4, None, 1]
     fp, back = labeling_from_json_obj(obj)
     assert fp == g.fingerprint() and back == labels
+
+
+@pytest.mark.parametrize("labels", [[0], [0, 1, 99], []])
+def test_wrong_length_labeling_raises(labels):
+    g = path_graph(2)
+    for check in (verify_odd_graceful, is_odd_graceful, labeling_to_json,
+                  complement_labeling):
+        with pytest.raises(ValueError, match="labels for 2 vertices"):
+            check(g, labels)
+
+
+def test_dict_labeling_is_rejected():
+    g = path_graph(2)
+    for check in (verify_odd_graceful, is_odd_graceful, labeling_to_json,
+                  complement_labeling):
+        with pytest.raises(TypeError):
+            check(g, {0: 0, 1: 1})
 
 
 def test_labeling_json_rejects_malformed():
@@ -179,8 +184,8 @@ def graph_and_labels(draw):
                  if pairs else st.just([]))
     g = Graph([f"v{i + 1}" for i in range(p)], edges)
     top = max(2 * g.q - 1, 1)
-    labels = {v: draw(st.integers(min_value=-2, max_value=top + 2))
-              for v in range(p) if draw(st.booleans())}
+    labels = [draw(st.integers(min_value=-2, max_value=top + 2))
+              if draw(st.booleans()) else None for _ in range(p)]
     return g, labels
 
 
@@ -204,6 +209,6 @@ def test_ok_reports_have_no_violations_and_exact_multiset(case):
 
 def test_complement_on_found_cycle_labeling():
     g = cycle_graph(4)
-    labels = {0: 0, 1: 7, 2: 4, 3: 5}
+    labels = [0, 7, 4, 5]
     assert verify_odd_graceful(g, labels).ok
     assert verify_odd_graceful(g, complement_labeling(g, labels)).ok
