@@ -6,6 +6,9 @@ violations / search certified none / sweep mismatched the expected table,
 2 invalid arguments, unreadable or mismatched files, 3 search budget
 exhausted.  Reports go to stdout, diagnostics to stderr; exit codes are the
 only machine contract on the status channel.
+
+Commands raise ValueError or OSError on malformed input; main is the one
+place that turns either into a single `error:` line and exit 2.
 """
 
 from __future__ import annotations
@@ -36,11 +39,6 @@ SWEEP_SEARCH_Q_CAP = 30
 SWEEP_DEFAULT_NODE_BUDGET = 10_000_000
 
 
-def _fail(msg: str) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return 2
-
-
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -66,14 +64,10 @@ def _load_labeling(path: str, g: Graph):
 
 
 def _write_outputs(*files) -> int:
-    """Write (path, text) pairs.  Returns exit status 0, or 2 with an error
-    line when a path cannot be written."""
-    try:
-        for path, text in files:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-    except OSError as exc:
-        return _fail(str(exc))
+    """Write (path, text) pairs and return exit status 0."""
+    for path, text in files:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     return 0
 
 
@@ -86,54 +80,47 @@ def _sidecar_path(out_path: str) -> str:
 # -- commands ---------------------------------------------------------------
 
 
-def cmd_gen(args) -> int:
-    param, builder, _, _ = _THEOREMS[FAMILIES.index(args.family) + 1]
+def _size(args, number: int, what: str) -> int:
+    """The --n or --k value that theorem `number` takes, raising ValueError
+    when it is missing or when the other size flag is given."""
+    param = _THEOREMS[number][0]
+    other = "k" if param == "n" else "n"
+    if getattr(args, other) is not None:
+        raise ValueError(f"{what} takes --{param}, not --{other}")
     value = getattr(args, param)
     if value is None:
-        return _fail(f"family {args.family} needs --{param}")
-    try:
-        g = builder(value, args.m)
-    except ValueError as exc:
-        return _fail(str(exc))
+        raise ValueError(f"{what} needs --{param}")
+    return value
+
+
+def cmd_gen(args) -> int:
+    number = FAMILIES.index(args.family) + 1
+    value = _size(args, number, f"family {args.family}")
+    g = _THEOREMS[number][1](value, args.m)
     return _write_outputs((args.out, g.to_json()))
 
 
 def cmd_label(args) -> int:
-    param, builder, labeler, _ = _THEOREMS[args.theorem]
-    value = getattr(args, param)
-    if value is None:
-        return _fail(f"theorem {args.theorem} needs --{param}")
-    try:
-        g = builder(value, args.m)
-        labels, interp = labeler(value, args.m)
-    except ValueError as exc:
-        return _fail(str(exc))
+    _, builder, labeler, _ = _THEOREMS[args.theorem]
+    value = _size(args, args.theorem, f"theorem {args.theorem}")
+    g = builder(value, args.m)
+    labels, interp = labeler(value, args.m)
     return _write_outputs((args.out, labeling_to_json(g, labels)),
                           (_sidecar_path(args.out), interp.to_json()))
 
 
 def cmd_verify(args) -> int:
-    try:
-        g = _load_graph(args.graph)
-        labels = _load_labeling(args.labeling, g)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(str(exc))
+    g = _load_graph(args.graph)
+    labels = _load_labeling(args.labeling, g)
     report = verify_odd_graceful(g, labels)
     sys.stdout.write(report.to_json(g))
     return 0 if report.ok else 1
 
 
 def cmd_search(args) -> int:
-    try:
-        cfg = SearchConfig(node_budget=args.max_nodes,
-                           time_budget_ms=args.timeout_ms)
-        g = _load_graph(args.graph)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(str(exc))
-    try:
-        outcome = find_odd_graceful(g, cfg)
-    except ValueError as exc:
-        return _fail(str(exc))
+    cfg = SearchConfig(node_budget=args.max_nodes,
+                       time_budget_ms=args.timeout_ms)
+    outcome = find_odd_graceful(_load_graph(args.graph), cfg)
     sys.stdout.write(outcome.to_json())
     return {"found": 0, "none": 1}.get(outcome.status, 3)
 
@@ -173,6 +160,8 @@ def parse_grid(spec: str):
             key, _, value = item.strip().partition("=")
             if key not in (expected_param, "m") or not value:
                 raise ValueError(f"bad grid item {item!r} for {name}")
+            if key in ranges:
+                raise ValueError(f"grid clause {clause!r} repeats {key}=")
             ranges[key] = parse_range(value)
         if expected_param not in ranges or "m" not in ranges:
             raise ValueError(f"{name} needs {expected_param}= and m= ranges")
@@ -209,14 +198,10 @@ def build_sweep_rows(instances, policy: str, node_budget: int):
             verdict = f"partial({len(interp.uncovered)})"
         else:
             verdict = "fail"
-        uncovered = set(interp.uncovered)
-        first = ""
-        for violation in report.violations:
-            if (violation.kind == MISSING_VERTEX_LABEL
-                    and g.tags[violation.vertex_ids[0]] in uncovered):
-                continue  # already summarized by the partial verdict
-            first = violation.short(g)
-            break
+        # the unlabeled vertices are exactly interp.uncovered, which the
+        # partial verdict already summarizes
+        first = next((v.short(g) for v in report.violations
+                      if v.kind != MISSING_VERTEX_LABEL), "")
         run_search = (policy == "always" or
                       (policy == "on-fail" and not report.ok))
         if run_search and g.q <= SWEEP_SEARCH_Q_CAP:
@@ -262,28 +247,21 @@ def _load_expected(path: str):
         parts = ln.split(",")
         if len(parts) != 4:
             raise ValueError(f"bad expected row {ln!r}")
-        expected[(parts[0], int(parts[1]), int(parts[2]))] = parts[3]
+        key = (parts[0], int(parts[1]), int(parts[2]))
+        if key in expected:
+            raise ValueError(f"repeated expected row {ln!r}")
+        expected[key] = parts[3]
     return expected
 
 
 def cmd_sweep(args) -> int:
-    node_budget = (args.max_nodes if args.max_nodes is not None
-                   else SWEEP_DEFAULT_NODE_BUDGET)
-    try:
-        SearchConfig(node_budget=node_budget)  # rejects a negative budget
-        instances = parse_grid(args.grid)
-        expected = _load_expected(args.expected) if args.expected else None
-        # opened before the sweep, so an unwritable path costs no work
-        out = open(args.out, "w", encoding="utf-8", newline="")
-    except (OSError, ValueError) as exc:
-        return _fail(str(exc))
-    with out:
-        rows = build_sweep_rows(instances, args.search_policy, node_budget)
-        try:
-            out.write(rows_to_csv(rows))
-            out.flush()
-        except OSError as exc:
-            return _fail(str(exc))
+    SearchConfig(node_budget=args.max_nodes)  # rejects a negative budget
+    instances = parse_grid(args.grid)
+    expected = _load_expected(args.expected) if args.expected else None
+    # opened before the sweep, so an unwritable path costs no work
+    with open(args.out, "w", encoding="utf-8", newline="") as out:
+        rows = build_sweep_rows(instances, args.search_policy, args.max_nodes)
+        out.write(rows_to_csv(rows))
     if expected is None:
         return 0
     mismatches = []
@@ -299,13 +277,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_export(args) -> int:
-    try:
-        g = _load_graph(args.graph)
-        labels = None
-        if args.labeling:
-            labels = _load_labeling(args.labeling, g)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        return _fail(str(exc))
+    g = _load_graph(args.graph)
+    labels = _load_labeling(args.labeling, g) if args.labeling else None
     if args.format == "json":
         sys.stdout.write(g.to_json())
         return 0
@@ -337,8 +310,17 @@ def to_dot(g: Graph, labels=None) -> str:
 # -- argument parsing ---------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError on a malformed command line, so that main reports
+    it as one error line instead of argparse's usage block; subparsers
+    inherit the class."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oddgraceful",
         description="Odd-graceful labeling laboratory: family constructions, "
                     "closed-form labelings, exact verification, complete "
@@ -382,7 +364,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="CSV of expected closed-form verdicts to check")
     p.add_argument("--search-policy", choices=("never", "on-fail", "always"),
                    default="on-fail")
-    p.add_argument("--max-nodes", type=int, default=None)
+    p.add_argument("--max-nodes", type=int,
+                   default=SWEEP_DEFAULT_NODE_BUDGET)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("export", help="export a graph (and labeling) as DOT")
@@ -397,9 +380,12 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    return args.func(args)
+        return args.func(args)
+    except SystemExit as exc:  # --help
+        return exc.code
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

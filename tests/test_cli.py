@@ -3,7 +3,7 @@
 import copy
 import io
 import json
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import chdir, redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from oddgraceful import (Graph, build_theorem1, cycle_graph, ladder,
                          labeling_to_json)
 from oddgraceful import cli
-from oddgraceful.cli import main, parse_grid
+from oddgraceful.cli import FAMILIES, main, parse_grid
 
 from test_graphs import MALFORMED_GRAPH_DOCS
 
@@ -182,6 +182,19 @@ def test_oversized_instance_exits_2(tmp_path, capsys, argv):
     assert "limit" in err and not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "--family", "ladder", "--n", "2", "--k", "3", "--m", "1"),
+    ("gen", "--family", "sub-tri-snake", "--k", "1", "--n", "2", "--m", "1"),
+    ("label", "--theorem", "1", "--n", "2", "--k", "3", "--m", "1"),
+    ("label", "--theorem", "3", "--k", "1", "--n", "2", "--m", "1"),
+])
+def test_other_size_flag_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "out.json"
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert_one_error_line(code, stdout, err)
+    assert "not --" in err and not out.exists()
+
+
 def write_graph(tmp_path, g, name="g.json"):
     path = tmp_path / name
     path.write_text(g.to_json())
@@ -274,6 +287,17 @@ def test_sweep_rejects_grid_outside_theorem_domain(tmp_path, capsys, grid):
     assert grid.split(";")[-1] in err and not out.exists()
 
 
+@pytest.mark.parametrize("grid", ["theorem1:n=2..3,m=1,m=2",
+                                  "theorem1:n=2..3,n=5,m=1",
+                                  "theorem3:k=1,m=1;theorem3:k=1,k=2,m=1"])
+def test_sweep_rejects_repeated_grid_key(tmp_path, capsys, grid):
+    out = tmp_path / "s.csv"
+    code, stdout, err = run(capsys, "sweep", "--grid", grid,
+                            "--search-policy", "never", "--out", str(out))
+    assert_one_error_line(code, stdout, err)
+    assert grid.split(";")[-1] in err and not out.exists()
+
+
 def test_sweep_builds_each_graph_once(monkeypatch):
     calls = []
 
@@ -343,6 +367,18 @@ def test_sweep_expected_table(tmp_path, capsys):
                        "--search-policy", "never", "--out", str(out),
                        "--expected", str(table))
     assert code == 1 and "mismatch" in err
+
+
+def test_sweep_rejects_repeated_expected_row(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    table = tmp_path / "expected.csv"
+    table.write_text("family,n_or_k,m,verdict\n"
+                     "theorem1,2,1,pass\ntheorem1,2,1,fail\n")
+    code, stdout, err = run(capsys, "sweep", "--grid", "theorem1:n=2,m=1",
+                            "--search-policy", "never", "--out", str(out),
+                            "--expected", str(table))
+    assert_one_error_line(code, stdout, err)
+    assert "theorem1,2,1,fail" in err and not out.exists()
 
 
 def test_sweep_malformed_grid(tmp_path, capsys):
@@ -515,3 +551,130 @@ def test_mutated_documents_exit_cleanly(tmp_path_factory, docs):
             assert err.getvalue().count("\n") == 1
         else:
             assert err.getvalue() == ""
+
+
+# -- the error boundary and flag fuzzing --------------------------------------
+
+_SWEEP_ARGV = ("sweep", "--grid", "theorem1:n=2,m=1", "--search-policy",
+               "never", "--out", "s.csv")
+
+
+def _raise(exc):
+    def raiser(*args):
+        raise exc
+    return raiser
+
+
+def test_os_error_in_a_command_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "rows_to_csv", _raise(OSError("disk full")))
+    code, stdout, err = run(capsys, *_SWEEP_ARGV)
+    assert_one_error_line(code, stdout, err)
+    assert err == "error: disk full\n"
+
+
+@pytest.mark.parametrize("exc", [RuntimeError, AssertionError])
+def test_program_faults_propagate(tmp_path, monkeypatch, exc):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "rows_to_csv", _raise(exc("fault")))
+    with pytest.raises(exc):
+        main(list(_SWEEP_ARGV))
+
+
+def test_help_exits_0(capsys):
+    assert main(["gen", "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage:")
+
+
+_BAD_VALUES = ["x", "", "2.5", "-1", "0", str(10 ** 8)]
+_BROKEN_GRIDS = ["theorem1:n=2", "theorem1:n=3..2,m=1", "theorem4:n=2,m=1",
+                 "theorem1:n=2,m=1,m=2", "theorem3:n=1,m=1", "theorem1:n=,m=1",
+                 "theorem1", ";", "theorem1:n=a,m=1", "theorem2:n=2..3..4,m=1",
+                 "theorem1:n=2,m=1;theorem3:k=0,m=1", "theorem1:n=2,k=1,m=1"]
+_SIZES = {"--n": st.integers(2, 4), "--k": st.integers(1, 3)}
+
+
+@st.composite
+def valid_argv(draw):
+    """A well-formed command line for gen, label, search or sweep, on small
+    instances and the files that fuzz_files writes."""
+    command = draw(st.sampled_from(["gen", "label", "search", "sweep"]))
+    if command in ("gen", "label"):
+        number = draw(st.integers(1, 3))
+        size = "--k" if number == 3 else "--n"
+        which = (["--family", FAMILIES[number - 1]] if command == "gen"
+                 else ["--theorem", str(number)])
+        return [command, *which, size, str(draw(_SIZES[size])),
+                "--m", str(draw(st.integers(1, 2))), "--out", "out.json"]
+    if command == "search":
+        argv = [command, draw(st.sampled_from(["c3.json", "c4.json"]))]
+        if draw(st.booleans()):
+            argv += ["--max-nodes", str(draw(st.integers(0, 1000)))]
+        if draw(st.booleans()):
+            argv += ["--timeout-ms", str(draw(st.integers(0, 1000)))]
+        return argv
+    grid = draw(st.sampled_from([
+        "theorem1:n=2..3,m=1", "theorem2:n=2,m=1..2", "theorem3:k=1..2,m=1",
+        "theorem1:n=2,m=1;theorem3:k=1,m=1"]))
+    policy = draw(st.sampled_from(["never", "on-fail", "always"]))
+    argv = [command, "--grid", grid, "--out", "out.csv",
+            "--search-policy", policy]
+    if draw(st.booleans()):
+        argv += ["--expected", "expected.csv"]
+    return argv
+
+
+@st.composite
+def mutated_argv(draw):
+    """valid_argv with one to three mutations: a token dropped, a flag
+    repeated, an unknown flag added, a value swapped for a bad one, the
+    other size flag given, or a grid clause broken."""
+    argv = draw(valid_argv())
+    command = argv[0]
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(["drop", "repeat", "unknown", "swap",
+                                   "size", "grid"]))
+        flags = [i for i, t in enumerate(argv[:-1]) if t.startswith("--")]
+        values = [i for i in range(1, len(argv))
+                  if not argv[i].startswith("--")]
+        if op == "drop" and argv:
+            del argv[draw(st.integers(0, len(argv) - 1))]
+        elif op == "repeat" and flags:
+            i = draw(st.sampled_from(flags))
+            argv += argv[i:i + 2]
+        elif op == "unknown":
+            argv.insert(draw(st.integers(0, len(argv))), "--no-such-flag")
+        elif op == "swap" and values:
+            argv[draw(st.sampled_from(values))] = draw(
+                st.sampled_from(_BAD_VALUES))
+        elif op == "size":
+            size = draw(st.sampled_from(sorted(_SIZES)))
+            argv += [size, str(draw(_SIZES[size]))]
+        elif op == "grid" and "--grid" in argv[:-1]:
+            argv[argv.index("--grid") + 1] = draw(
+                st.sampled_from(_BROKEN_GRIDS))
+    if command == "sweep":  # the last value wins: bounds any search
+        argv += ["--max-nodes", str(draw(st.integers(0, 1000)))]
+    return argv
+
+
+def fuzz_files(base):
+    (base / "c3.json").write_text(cycle_graph(3).to_json())
+    (base / "c4.json").write_text(cycle_graph(4).to_json())
+    (base / "expected.csv").write_text("family,n_or_k,m,verdict\n"
+                                       "theorem1,2,1,pass\n")
+
+
+@given(mutated_argv())
+@settings(max_examples=200, deadline=None)
+def test_mutated_argv_exit_cleanly(tmp_path_factory, argv):
+    base = tmp_path_factory.mktemp("argv")
+    fuzz_files(base)
+    out, err = io.StringIO(), io.StringIO()
+    with chdir(base), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:")
+        assert err.getvalue().count("\n") == 1
