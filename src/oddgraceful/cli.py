@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
-from time import perf_counter
 
-from .canon import canonical_dumps
 from .formulas import label_theorem1, label_theorem2, label_theorem3
 from .graphs import (Graph, build_theorem1, build_theorem2, build_theorem3,
                      check_theorem_domain)
@@ -155,17 +154,17 @@ def parse_grid(spec: str):
             raise ValueError(f"unknown family {name!r} in grid")
         number = int(name[-1])
         expected_param = _THEOREMS[number][0]
-        ranges = {}
-        for item in params.split(","):
-            key, _, value = item.strip().partition("=")
-            if key not in (expected_param, "m") or not value:
-                raise ValueError(f"bad grid item {item!r} for {name}")
-            if key in ranges:
-                raise ValueError(f"grid clause {clause!r} repeats {key}=")
-            ranges[key] = parse_range(value)
-        if expected_param not in ranges or "m" not in ranges:
-            raise ValueError(f"{name} needs {expected_param}= and m= ranges")
         try:
+            ranges = {}
+            for item in params.split(","):
+                key, _, value = item.strip().partition("=")
+                if key not in (expected_param, "m") or not value:
+                    raise ValueError(f"bad item {item!r}")
+                if key in ranges:
+                    raise ValueError(f"repeats {key}=")
+                ranges[key] = parse_range(value)
+            if expected_param not in ranges or "m" not in ranges:
+                raise ValueError(f"needs {expected_param}= and m= ranges")
             for end in (0, -1):  # q grows with both parameters
                 check_theorem_domain(number, ranges[expected_param][end],
                                      ranges["m"][end])
@@ -237,20 +236,33 @@ def rows_to_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+# every closed_form_verdict build_sweep_rows can emit
+_VERDICT_RE = re.compile(r"pass|fail|partial\([1-9][0-9]*\)")
+
+
 def _load_expected(path: str):
+    """The --expected table as {(family, n_or_k, m): verdict}, raising
+    ValueError on a row that names no theorem, has a non-integer size or
+    holds a verdict the sweep cannot emit."""
     expected = {}
     with open(path, "r", encoding="utf-8") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != "family,n_or_k,m,verdict":
         raise ValueError("expected table needs header family,n_or_k,m,verdict")
     for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise ValueError(f"bad expected row {ln!r}")
-        key = (parts[0], int(parts[1]), int(parts[2]))
+        try:
+            family, a, m, verdict = ln.split(",")  # four fields or ValueError
+            if family not in ("theorem1", "theorem2", "theorem3"):
+                raise ValueError("family must be theorem1, theorem2 or "
+                                 "theorem3")
+            if not _VERDICT_RE.fullmatch(verdict):
+                raise ValueError("verdict must be pass, fail or partial(N)")
+            key = (family, int(a), int(m))
+        except ValueError as exc:
+            raise ValueError(f"bad expected row {ln!r}: {exc}") from None
         if key in expected:
             raise ValueError(f"repeated expected row {ln!r}")
-        expected[key] = parts[3]
+        expected[key] = verdict
     return expected
 
 

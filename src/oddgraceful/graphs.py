@@ -18,6 +18,7 @@ labeling they produce.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
@@ -126,15 +127,16 @@ class Graph:
 
     # -- file format ------------------------------------------------------
 
-    def to_json_obj(self) -> dict:
-        return {
-            "family": self.family.to_json_obj() if self.family else None,
-            "vertices": [{"id": i, "tag": t} for i, t in enumerate(self.tags)],
-            "edges": [[a, b] for a, b in self.edges],
-        }
-
     def to_json(self) -> str:
-        return canonical_dumps(self.to_json_obj())
+        """Canonical graph JSON written directly, byte for byte canonical_dumps
+        of {"edges", "family", "vertices": [{"id", "tag"}, ...]}."""
+        encode = json.encoder.encode_basestring_ascii  # as json.dumps does
+        edges = ",".join([f"[{a},{b}]" for a, b in self.edges])
+        vertices = ",".join([f'{{"id":{i},"tag":{encode(t)}}}'
+                             for i, t in enumerate(self.tags)])
+        family = self.family.to_json_obj() if self.family else None
+        return (f'{{"edges":[{edges}],"family":{canonical_dumps(family)[:-1]},'
+                f'"vertices":[{vertices}]}}\n')
 
     def fingerprint(self) -> str:
         """Hex digest of the canonical graph JSON; binds labeling files to
@@ -181,8 +183,6 @@ class Graph:
 
     @staticmethod
     def from_json(text: str) -> "Graph":
-        import json
-
         return Graph.from_json_obj(json.loads(text))
 
 

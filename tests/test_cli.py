@@ -204,7 +204,7 @@ def write_graph(tmp_path, g, name="g.json"):
 @pytest.mark.parametrize("break_doc", MALFORMED_GRAPH_DOCS)
 def test_malformed_graph_file_exits_2(tmp_path, capsys, break_doc):
     _, lpath = gen_pair(tmp_path, capsys, 1, "n", 2, 1)
-    doc = ladder(2).to_json_obj()
+    doc = json.loads(ladder(2).to_json())
     break_doc(doc)
     gpath = tmp_path / "bad.json"
     gpath.write_text(json.dumps(doc))
@@ -298,6 +298,15 @@ def test_sweep_rejects_repeated_grid_key(tmp_path, capsys, grid):
     assert grid.split(";")[-1] in err and not out.exists()
 
 
+def test_sweep_grid_parse_error_names_clause(tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    code, stdout, err = run(capsys, "sweep", "--grid",
+                            "theorem2:n=2,m=1;theorem1:n=a..3,m=1",
+                            "--search-policy", "never", "--out", str(out))
+    assert_one_error_line(code, stdout, err)
+    assert "theorem1:n=a..3,m=1" in err and not out.exists()
+
+
 def test_sweep_builds_each_graph_once(monkeypatch):
     calls = []
 
@@ -379,6 +388,31 @@ def test_sweep_rejects_repeated_expected_row(tmp_path, capsys):
                             "--expected", str(table))
     assert_one_error_line(code, stdout, err)
     assert "theorem1,2,1,fail" in err and not out.exists()
+
+
+@pytest.mark.parametrize("row", ["theorem9,2,1,maybe", "theorem1,2,1,PASS",
+                                 "theorem1,x,1,pass", "theorem1,2,1.0,pass",
+                                 "theorem1,2,1,partial(0)", "theorem1,2,1",
+                                 "theorem1,2,1,pass,pass", "ladder,2,1,pass"])
+def test_sweep_rejects_malformed_expected_row(tmp_path, capsys, row):
+    out = tmp_path / "sweep.csv"
+    table = tmp_path / "expected.csv"
+    table.write_text(f"family,n_or_k,m,verdict\n{row}\n")
+    code, stdout, err = run(capsys, "sweep", "--grid", "theorem1:n=2,m=1",
+                            "--search-policy", "never", "--out", str(out),
+                            "--expected", str(table))
+    assert_one_error_line(code, stdout, err)
+    assert row in err and "mismatch" not in err and not out.exists()
+
+
+def test_sweep_expected_table_accepts_partial_verdict(tmp_path, capsys):
+    table = tmp_path / "expected.csv"
+    table.write_text("family,n_or_k,m,verdict\ntheorem3,2,1,partial(1)\n")
+    code, _, err = run(capsys, "sweep", "--grid", "theorem3:k=2,m=1",
+                       "--search-policy", "never",
+                       "--out", str(tmp_path / "s.csv"),
+                       "--expected", str(table))
+    assert code == 0 and err == ""
 
 
 def test_sweep_malformed_grid(tmp_path, capsys):
@@ -517,7 +551,7 @@ def mutated(draw, doc):
 
 
 _FUZZ_GRAPH = build_theorem1(2, 1)
-_FUZZ_GRAPH_DOC = _FUZZ_GRAPH.to_json_obj()
+_FUZZ_GRAPH_DOC = json.loads(_FUZZ_GRAPH.to_json())
 _FUZZ_LABELING_DOC = json.loads(
     labeling_to_json(_FUZZ_GRAPH, [13, 4, 0, 15, 8, 11, 1, None]))
 

@@ -1,14 +1,17 @@
 """Construction, tagging, and serialization tests for the graph families."""
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oddgraceful
-from oddgraceful import (Graph, build_theorem1, build_theorem2,
+from oddgraceful import (Family, Graph, build_theorem1, build_theorem2,
                          build_theorem3, cartesian_product, corona_pendants,
                          cycle_graph, is_bipartite, ladder, path_graph,
                          subdivide, triangular_snake, two_coloring)
+from oddgraceful.canon import canonical_dumps
 from oddgraceful.graphs import (MAX_THEOREM_Q, check_theorem_domain,
                                 theorem_q)
 
@@ -367,7 +370,7 @@ MALFORMED_GRAPH_DOCS = [_vertex_not_object, _tag_not_string, _float_edge_id,
 
 @pytest.mark.parametrize("break_doc", MALFORMED_GRAPH_DOCS)
 def test_graph_loader_rejects_malformed_document(break_doc):
-    doc = ladder(2).to_json_obj()
+    doc = json.loads(ladder(2).to_json())
     Graph.from_json_obj(doc)  # the unbroken document loads
     break_doc(doc)
     with pytest.raises(ValueError):
@@ -408,3 +411,37 @@ def test_corona_degree_property(g, m):
 def test_graph_json_round_trip_property(g):
     text = g.to_json()
     assert Graph.from_json(text).to_json() == text
+
+
+_sizes = st.none() | st.integers()
+
+
+@st.composite
+def tagged_graphs(draw):
+    """Graphs with arbitrary unique tags (quotes, backslashes, control and
+    non-ASCII characters) and an optional family of any kind text."""
+    tags = draw(st.lists(st.text(min_size=1), min_size=1, max_size=6,
+                         unique=True))
+    pairs = [(a, b) for a in range(len(tags)) for b in range(a + 1, len(tags))]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)
+                 if pairs else st.just([]))
+    family = draw(st.none() | st.builds(Family, st.text(), _sizes, _sizes,
+                                        _sizes))
+    return Graph(tags, edges, family)
+
+
+@given(tagged_graphs())
+@settings(max_examples=200, deadline=None)
+def test_graph_json_is_canonical_json(g):
+    text = g.to_json()
+    assert canonical_dumps(json.loads(text)) == text
+    assert Graph.from_json(text) == g
+
+
+def test_graph_json_exact_text():
+    g = Graph(['a"b', "a\\b", "é"], [(1, 0), (1, 2)],
+              Family("ladder", n=2, m=0))
+    assert g.to_json() == (
+        r'{"edges":[[0,1],[1,2]],"family":{"kind":"ladder","m":0,"n":2},'
+        r'"vertices":[{"id":0,"tag":"a\"b"},{"id":1,"tag":"a\\b"},'
+        r'{"id":2,"tag":"\u00e9"}]}' "\n")
