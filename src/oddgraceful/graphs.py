@@ -21,6 +21,8 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
+from itertools import chain, starmap
+from operator import eq, itemgetter
 from typing import Iterable, Optional, Sequence
 
 from .canon import canonical_dumps, sha256_hex
@@ -64,8 +66,12 @@ class Graph:
     """Immutable undirected graph over dense vertex ids 0..p-1 with tags.
 
     Edges are stored with the smaller id first and sorted lexicographically.
-    Construction validates that there are no self-loops, no duplicate edges,
-    and that every endpoint is a declared vertex.
+    Construction rejects, with ValueError, an endpoint that is not an int
+    (bools and floats included), a self-loop, an endpoint that is not a
+    declared vertex and a duplicate edge; the message names the first
+    offending edge in input order.  The checks run as whole-list passes, so
+    construction costs a few C-level scans and one sort of the edge list.
+    The adjacency is computed on first use and kept.
     """
 
     __slots__ = ("tags", "edges", "family", "_adj")
@@ -73,18 +79,7 @@ class Graph:
     def __init__(self, tags: Sequence[str], edges: Iterable[tuple],
                  family: Optional[Family] = None):
         self.tags = tuple(tags)
-        p = len(self.tags)
-        seen = set()
-        for a, b in edges:
-            if a == b:
-                raise ValueError(f"self-loop at vertex {a}")
-            if not (0 <= a < p and 0 <= b < p):
-                raise ValueError(f"edge ({a},{b}) references an undeclared vertex")
-            e = (a, b) if a < b else (b, a)
-            if e in seen:
-                raise ValueError(f"duplicate edge {e}")
-            seen.add(e)
-        self.edges = tuple(sorted(seen))
+        self.edges = tuple(_sorted_edges(list(edges), len(self.tags)))
         self.family = family
         self._adj = None
 
@@ -97,13 +92,17 @@ class Graph:
         return len(self.edges)
 
     def adjacency(self):
-        """Neighbor ids per vertex, each list sorted ascending."""
+        """Neighbor ids per vertex, each list sorted ascending.
+
+        No sort is needed: walking the sorted edges appends to vertex v
+        first every x < v of an edge (x, v), in order of x, then every
+        y > v of an edge (v, y), in order of y."""
         if self._adj is None:
             adj = [[] for _ in range(self.p)]
             for a, b in self.edges:
                 adj[a].append(b)
                 adj[b].append(a)
-            self._adj = tuple(tuple(sorted(nbrs)) for nbrs in adj)
+            self._adj = tuple(map(tuple, adj))
         return self._adj
 
     def degree(self, v: int) -> int:
@@ -190,6 +189,46 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _sorted_edges(edges: list, p: int) -> list:
+    """The edges as (smaller id, larger id) pairs, sorted.
+
+    Whole-list passes check that every endpoint is an int in 0..p-1 and
+    that no edge is a self-loop or a duplicate; if one fails,
+    _raise_first_bad_edge names the edge.
+    """
+    if set(map(type, chain.from_iterable(edges))) <= {int}:
+        pairs = [(a, b) if a < b else (b, a) for a, b in edges]
+        pairs.sort()
+        if not pairs or (pairs[0][0] >= 0
+                         and max(map(itemgetter(1), pairs)) < p
+                         and not any(starmap(eq, pairs))
+                         and len(set(pairs)) == len(pairs)):
+            return pairs
+    _raise_first_bad_edge(edges, p)
+
+
+def _raise_first_bad_edge(edges: list, p: int) -> None:
+    """Raise ValueError for the first edge in input order with an endpoint
+    that is not an int, a self-loop, an undeclared vertex or an earlier
+    copy, checked in that order.  Called only after a whole-list check in
+    _sorted_edges failed, so some edge always raises."""
+    seen = set()
+    for a, b in edges:
+        if type(a) is not int or type(b) is not int:
+            raise ValueError(
+                f"edge ({a!r},{b!r}) has an endpoint that is not an int")
+        if a == b:
+            raise ValueError(f"self-loop at vertex {a}")
+        if not (0 <= a < p and 0 <= b < p):
+            raise ValueError(
+                f"edge ({a},{b}) references an undeclared vertex")
+        e = (a, b) if a < b else (b, a)
+        if e in seen:
+            raise ValueError(f"duplicate edge {e}")
+        seen.add(e)
+    raise AssertionError("bulk edge check failed but no edge did")
+
+
 # -- basic constructions ---------------------------------------------------
 
 
@@ -261,12 +300,11 @@ def _append_pendants(tags: list, edges: list, m: int) -> None:
         if match:
             parent, j = match.group(1), int(match.group(2))
             taken[parent] = max(taken.get(parent, 0), j)
-    for v in range(len(tags)):
-        parent = tags[v]
-        base = taken.get(parent, 0)
-        for j in range(base + 1, base + m + 1):
-            edges.append((v, len(tags)))
-            tags.append(pendant(parent, j))
+    p = len(tags)
+    first = [taken.get(t, 0) + 1 for t in tags]
+    tags += [pendant(parent, j) for parent, start in zip(tags, first)
+             for j in range(start, start + m)]
+    edges += [(v, p + v * m + j) for v in range(p) for j in range(m)]
 
 
 def corona_pendants(g: Graph, m: int) -> Graph:

@@ -109,11 +109,17 @@ class VerificationReport:
 
 
 def _check_labeling(g: Graph, labels: Labeling) -> None:
-    """Reject anything but a list with one entry per vertex of g."""
+    """Reject anything but a list with one int or None per vertex of g
+    (a bool or a float is not a label)."""
     if not isinstance(labels, list):
         raise TypeError(f"a labeling is a list, not {type(labels).__name__}")
     if len(labels) != g.p:
         raise ValueError(f"{len(labels)} labels for {g.p} vertices")
+    if not set(map(type, labels)) <= {int, type(None)}:
+        v = next(v for v, x in enumerate(labels)
+                 if x is not None and type(x) is not int)
+        raise ValueError(
+            f"vertex {v} has label {labels[v]!r}, not an int or None")
 
 
 def verify_odd_graceful(g: Graph, labels: Labeling) -> VerificationReport:
@@ -123,33 +129,44 @@ def verify_odd_graceful(g: Graph, labels: Labeling) -> VerificationReport:
     range, so a one-vertex graph labeled 0 passes vacuously and nothing
     larger can.  Out-of-range and duplicate vertex labels still contribute
     to edge-label computation so reports stay exhaustive.
+
+    Time is linear in p + q.  The first holder of each in-range vertex or
+    edge value sits in a list indexed by value; out-of-range values go to a
+    dict, so nothing allocated is sized by a label's value.
     """
     _check_labeling(g, labels)
     q = g.q
     max_label = 2 * q - 1 if q > 0 else 0
     violations = []
 
-    # first and second holder of each vertex value and each edge value; a
-    # duplicate is reported by its first two holders only
-    vertex_first, vertex_second = {}, {}
+    # first holder of each value (list for in-range values, dict for the
+    # rest); a duplicate is reported by its first two holders only
+    vertex_first, vertex_other, vertex_dups = [None] * (max_label + 1), {}, {}
     for v, x in enumerate(labels):
         if x is None:
             violations.append(Violation(MISSING_VERTEX_LABEL, vertex_ids=(v,)))
             continue
-        if not (0 <= x <= max_label):
+        if 0 <= x <= max_label:
+            held = vertex_first[x]
+            if held is None:
+                vertex_first[x] = v
+                continue
+        else:
             violations.append(
                 Violation(VERTEX_LABEL_OUT_OF_RANGE, vertex_ids=(v,), label=x))
-        if vertex_first.setdefault(x, v) != v:
-            vertex_second.setdefault(x, v)
+            held = vertex_other.setdefault(x, v)
+            if held == v:
+                continue
+        vertex_dups.setdefault(x, (held, v))
 
-    for value in sorted(vertex_second):
+    for value in sorted(vertex_dups):
         violations.append(Violation(
             DUPLICATE_VERTEX_LABEL,
-            vertex_ids=(vertex_first[value], vertex_second[value]),
+            vertex_ids=vertex_dups[value],
             label=value,
         ))
 
-    edge_first, edge_second = {}, {}
+    edge_first, edge_other, edge_dups = [None] * (max_label + 1), {}, {}
     for e in g.edges:
         x, y = labels[e[0]], labels[e[1]]
         if x is None or y is None:
@@ -158,18 +175,26 @@ def verify_odd_graceful(g: Graph, labels: Labeling) -> VerificationReport:
         if d % 2 == 0:
             violations.append(
                 Violation(EDGE_LABEL_EVEN, edge_ids=(e,), label=d))
-        if edge_first.setdefault(d, e) != e:
-            edge_second.setdefault(d, e)
+        if d <= max_label:
+            held = edge_first[d]
+            if held is None:
+                edge_first[d] = e
+                continue
+        else:
+            held = edge_other.setdefault(d, e)
+            if held == e:
+                continue
+        edge_dups.setdefault(d, (held, e))
 
-    for value in sorted(edge_second):
+    for value in sorted(edge_dups):
         violations.append(Violation(
             DUPLICATE_EDGE_LABEL,
-            edge_ids=(edge_first[value], edge_second[value]),
+            edge_ids=edge_dups[value],
             label=value,
         ))
 
     for odd in range(1, 2 * q, 2):
-        if odd not in edge_first:
+        if edge_first[odd] is None:
             violations.append(Violation(MISSING_ODD_EDGE_LABEL, label=odd))
 
     violations.sort(key=Violation.sort_key)

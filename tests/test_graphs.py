@@ -266,13 +266,100 @@ def test_construction_determinism():
     assert a.tags == b.tags and a.edges == b.edges and a.family == b.family
 
 
+# (tags, edges, the message Graph must raise)
+_BAD_EDGE_CASES = [
+    (["v1"], [(0, 0)], "self-loop at vertex 0"),
+    (["v1", "v2"], [(0, 2)], "edge (0,2) references an undeclared vertex"),
+    (["v1", "v2"], [(-1, 0)], "edge (-1,0) references an undeclared vertex"),
+    (["v1", "v2"], [(0, 1), (1, 0)], "duplicate edge (0, 1)"),
+    (["a", "b", "c"], [(False, True), (1.0, 2)],
+     "edge (False,True) has an endpoint that is not an int"),
+    (["a", "b", "c"], [(0, 1), (1.0, 2)],
+     "edge (1.0,2) has an endpoint that is not an int"),
+    (["a", "b"], [("x", 1)], "edge ('x',1) has an endpoint that is not an int"),
+    # several bad edges: the message names the first one in input order
+    (["a", "b", "c"], [(0, 1), (2, 5), (1, 1), (1, 0), (0, 1.5)],
+     "edge (2,5) references an undeclared vertex"),
+    (["a", "b", "c"], [(2, 1), (1, 2), (0, 0), (0, 3)],
+     "duplicate edge (1, 2)"),
+    (["a", "b", "c"], [(0, 1), (2, 2), (1, 0), (True, 2)],
+     "self-loop at vertex 2"),
+    (["a", "b", "c"], [(0, 2), (0, 2.0), (9, 9)],
+     "edge (0,2.0) has an endpoint that is not an int"),
+]
+
+
 def test_graph_validation():
-    with pytest.raises(ValueError):
-        Graph(["v1"], [(0, 0)])
-    with pytest.raises(ValueError):
-        Graph(["v1", "v2"], [(0, 2)])
-    with pytest.raises(ValueError):
-        Graph(["v1", "v2"], [(0, 1), (1, 0)])
+    for tags, edges, message in _BAD_EDGE_CASES:
+        with pytest.raises(ValueError) as exc:
+            Graph(tags, edges)
+        assert str(exc.value) == message
+
+
+def _reference_edge_check(edges, p):
+    """The constructor's rule, edge by edge: the message for the first
+    offending edge in input order, or None when every edge is good."""
+    seen = set()
+    for a, b in edges:
+        if type(a) is not int or type(b) is not int:
+            return f"edge ({a!r},{b!r}) has an endpoint that is not an int"
+        if a == b:
+            return f"self-loop at vertex {a}"
+        if not (0 <= a < p and 0 <= b < p):
+            return f"edge ({a},{b}) references an undeclared vertex"
+        e = (min(a, b), max(a, b))
+        if e in seen:
+            return f"duplicate edge {e}"
+        seen.add(e)
+    return None
+
+
+@st.composite
+def edge_lists(draw):
+    """Shuffled simple edge lists with randomly reversed pairs, and with a
+    few bad edges mixed in when bad is drawn."""
+    p = draw(st.integers(min_value=1, max_value=8))
+    pairs = [(a, b) for a in range(p) for b in range(a + 1, p)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)
+                 if pairs else st.just([]))
+    edges = [draw(st.sampled_from([(a, b), (b, a)])) for a, b in edges]
+    if draw(st.booleans()):
+        end = st.integers(min_value=-2, max_value=p + 1) | st.sampled_from(
+            [True, False, 1.0, 0.5])
+        bad = draw(st.lists(st.tuples(end, end), min_size=1, max_size=3))
+        edges += bad + draw(st.lists(st.sampled_from(edges), max_size=2)
+                            if edges else st.just([]))
+    return p, draw(st.permutations(edges))
+
+
+@given(edge_lists())
+@settings(max_examples=300, deadline=None)
+def test_graph_edges_match_reference(case):
+    p, edges = case
+    tags = [f"v{i}" for i in range(p)]
+    message = _reference_edge_check(edges, p)
+    if message is None:
+        g = Graph(tags, edges)
+        assert g.edges == tuple(sorted({(min(a, b), max(a, b))
+                                        for a, b in edges}))
+    else:
+        with pytest.raises(ValueError) as exc:
+            Graph(tags, iter(edges))
+        assert str(exc.value) == message
+
+
+@given(edge_lists())
+@settings(max_examples=150, deadline=None)
+def test_adjacency_matches_sorted_reference(case):
+    p, edges = case
+    if _reference_edge_check(edges, p) is not None:
+        return
+    g = Graph([f"v{i}" for i in range(p)], edges)
+    expected = tuple(
+        tuple(sorted([b for a, b in g.edges if a == v]
+                     + [a for a, b in g.edges if b == v]))
+        for v in range(p))
+    assert g.adjacency() == expected
 
 
 def test_two_coloring_alternates():

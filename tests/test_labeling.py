@@ -2,6 +2,7 @@
 fast boolean check, and file formats."""
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from oddgraceful.labeling import (DUPLICATE_EDGE_LABEL,
                                   KIND_ORDER, MISSING_ODD_EDGE_LABEL,
                                   MISSING_VERTEX_LABEL,
                                   VERTEX_LABEL_OUT_OF_RANGE,
+                                  VerificationReport, Violation,
                                   labeling_from_json_obj, labeling_to_json)
 
 
@@ -159,6 +161,20 @@ def test_wrong_length_labeling_raises(labels):
             check(g, labels)
 
 
+@pytest.mark.parametrize("labels, bad", [
+    ([0, 1.0], "vertex 1 has label 1.0"),
+    ([0, 1.5], "vertex 1 has label 1.5"),
+    ([True, 0], "vertex 0 has label True"),
+    (["0", 1.0], "vertex 0 has label '0'"),
+])
+def test_non_int_label_is_rejected(labels, bad):
+    g = path_graph(2)
+    for check in (verify_odd_graceful, is_odd_graceful, labeling_to_json,
+                  complement_labeling):
+        with pytest.raises(ValueError, match=f"^{bad}, not an int or None$"):
+            check(g, labels)
+
+
 def test_dict_labeling_is_rejected():
     g = path_graph(2)
     for check in (verify_odd_graceful, is_odd_graceful, labeling_to_json,
@@ -212,3 +228,119 @@ def test_complement_on_found_cycle_labeling():
     labels = [0, 7, 4, 5]
     assert verify_odd_graceful(g, labels).ok
     assert verify_odd_graceful(g, complement_labeling(g, labels)).ok
+
+
+def _reference_verify(g, labels):
+    """The dict-based verifier the list-indexed one replaced, kept as the
+    definition of the report: every violation, witness and order."""
+    q = g.q
+    max_label = 2 * q - 1 if q > 0 else 0
+    violations = []
+
+    vertex_first, vertex_second = {}, {}
+    for v, x in enumerate(labels):
+        if x is None:
+            violations.append(Violation(MISSING_VERTEX_LABEL, vertex_ids=(v,)))
+            continue
+        if not (0 <= x <= max_label):
+            violations.append(
+                Violation(VERTEX_LABEL_OUT_OF_RANGE, vertex_ids=(v,), label=x))
+        if vertex_first.setdefault(x, v) != v:
+            vertex_second.setdefault(x, v)
+
+    for value in sorted(vertex_second):
+        violations.append(Violation(
+            DUPLICATE_VERTEX_LABEL,
+            vertex_ids=(vertex_first[value], vertex_second[value]),
+            label=value,
+        ))
+
+    edge_first, edge_second = {}, {}
+    for e in g.edges:
+        x, y = labels[e[0]], labels[e[1]]
+        if x is None or y is None:
+            continue
+        d = abs(x - y)
+        if d % 2 == 0:
+            violations.append(
+                Violation(EDGE_LABEL_EVEN, edge_ids=(e,), label=d))
+        if edge_first.setdefault(d, e) != e:
+            edge_second.setdefault(d, e)
+
+    for value in sorted(edge_second):
+        violations.append(Violation(
+            DUPLICATE_EDGE_LABEL,
+            edge_ids=(edge_first[value], edge_second[value]),
+            label=value,
+        ))
+
+    for odd in range(1, 2 * q, 2):
+        if odd not in edge_first:
+            violations.append(Violation(MISSING_ODD_EDGE_LABEL, label=odd))
+
+    violations.sort(key=Violation.sort_key)
+    return VerificationReport(ok=not violations, q=q,
+                              violations=tuple(violations))
+
+
+_HUGE = 10 ** 18
+
+
+@st.composite
+def graph_and_wild_labels(draw):
+    """Small graphs with labelings that mix None, negative values, values
+    above 2q-1 and near +-10**18, repeated vertex values and even edge
+    labels."""
+    p = draw(st.integers(min_value=1, max_value=9))
+    pairs = [(a, b) for a in range(p) for b in range(a + 1, p)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)
+                 if pairs else st.just([]))
+    g = Graph([f"v{i + 1}" for i in range(p)], edges)
+    top = 2 * g.q - 1
+    label = st.one_of(
+        st.none(),
+        st.integers(min_value=-3, max_value=top + 3),
+        st.integers(min_value=0, max_value=max(top, 0)),
+        st.integers(min_value=_HUGE - 3, max_value=_HUGE + 3),
+        st.integers(min_value=-_HUGE - 3, max_value=-_HUGE + 3))
+    labels = draw(st.lists(label, min_size=p, max_size=p))
+    # repeat some earlier values so duplicate vertex labels come often
+    for v in draw(st.lists(st.integers(min_value=0, max_value=p - 1),
+                           max_size=3)):
+        labels[v] = labels[draw(st.integers(min_value=0, max_value=p - 1))]
+    return g, labels
+
+
+@given(graph_and_wild_labels())
+@settings(max_examples=400, deadline=None)
+def test_verifier_matches_dict_reference(case):
+    g, labels = case
+    assert verify_odd_graceful(g, labels) == _reference_verify(g, labels)
+
+
+@pytest.mark.parametrize("g, labels", [
+    (path_graph(3), [0, 1, 3]),       # edge values 1, 2: 3 is missing
+    (path_graph(4), [0, 5, 1, 4]),    # edge values 5, 4, 3: 1 is missing
+    (cycle_graph(4), [0, 7, 1, 4]),   # edge values 7, 6, 3, 4: 1, 5
+])
+def test_distinct_edge_values_with_an_even_one_miss_an_odd(g, labels):
+    report = verify_odd_graceful(g, labels)
+    assert report == _reference_verify(g, labels)
+    kinds = {v.kind for v in report.violations}
+    assert {EDGE_LABEL_EVEN, MISSING_ODD_EDGE_LABEL} <= kinds
+
+
+def test_huge_label_reports_out_of_range_without_a_list_that_size():
+    g = path_graph(2)
+    report = verify_odd_graceful(g, [0, _HUGE])
+    assert report == _reference_verify(g, [0, _HUGE])
+    assert [v.kind for v in report.violations] == [
+        VERTEX_LABEL_OUT_OF_RANGE, EDGE_LABEL_EVEN, MISSING_ODD_EDGE_LABEL]
+    # a holder list sized by the label would take 8 MB here
+    tracemalloc.start()
+    try:
+        verify_odd_graceful(g, [0, 10 ** 6])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
