@@ -19,18 +19,22 @@ import re
 import sys
 
 from .formulas import label_theorem1, label_theorem2, label_theorem3
-from .graphs import (Graph, build_theorem1, build_theorem2, build_theorem3,
-                     check_theorem_domain)
+from .graphs import (THEOREM_FAMILIES, Graph, build_theorem1, build_theorem2,
+                     build_theorem3, check_theorem_domain)
 from .labeling import (MISSING_VERTEX_LABEL, labeling_from_json_obj,
                        labeling_to_json, verify_odd_graceful)
 from .search import SearchConfig, find_odd_graceful
 
-FAMILIES = ("ladder", "sub-ladder", "sub-tri-snake")  # theorems 1, 2, 3
+FAMILIES = tuple(f.kind for f in THEOREM_FAMILIES.values())  # theorem 1 first
+# theorem number -> (size parameter, builder, labeler, sweep family name)
 _THEOREMS = {
-    1: ("n", build_theorem1, label_theorem1, "theorem1"),
-    2: ("n", build_theorem2, label_theorem2, "theorem2"),
-    3: ("k", build_theorem3, label_theorem3, "theorem3"),
-}
+    number: (THEOREM_FAMILIES[number].param, build, label, f"theorem{number}")
+    for number, build, label in (
+        (1, build_theorem1, label_theorem1),
+        (2, build_theorem2, label_theorem2),
+        (3, build_theorem3, label_theorem3))}
+_THEOREM_NUMBERS = {family: number
+                    for number, (*_, family) in _THEOREMS.items()}
 
 SWEEP_HEADER = ("family,n_or_k,m,p,q,closed_form_verdict,first_violation,"
                 "search_outcome,search_nodes,elapsed_ms")
@@ -150,9 +154,9 @@ def parse_grid(spec: str):
             continue
         name, _, params = clause.partition(":")
         name = name.strip()
-        if name not in ("theorem1", "theorem2", "theorem3"):
+        number = _THEOREM_NUMBERS.get(name)
+        if number is None:
             raise ValueError(f"unknown family {name!r} in grid")
-        number = int(name[-1])
         expected_param = _THEOREMS[number][0]
         try:
             ranges = {}
@@ -252,9 +256,9 @@ def _load_expected(path: str):
     for ln in lines[1:]:
         try:
             family, a, m, verdict = ln.split(",")  # four fields or ValueError
-            if family not in ("theorem1", "theorem2", "theorem3"):
-                raise ValueError("family must be theorem1, theorem2 or "
-                                 "theorem3")
+            if family not in _THEOREM_NUMBERS:
+                raise ValueError(
+                    f"family must be one of {', '.join(_THEOREM_NUMBERS)}")
             if not _VERDICT_RE.fullmatch(verdict):
                 raise ValueError("verdict must be pass, fail or partial(N)")
             key = (family, int(a), int(m))
@@ -348,7 +352,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("label", help="apply a closed-form labeling scheme")
-    p.add_argument("--theorem", type=int, required=True, choices=(1, 2, 3))
+    p.add_argument("--theorem", type=int, required=True,
+                   choices=tuple(_THEOREMS))
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--m", type=int, required=True)

@@ -4,16 +4,18 @@ Vertices carry plain string tags naming symbol class and index (u3, w1), so
 that label formulas stated per class and index can be applied without
 guessing which vertex is which.  Pendant j of the vertex tagged x is tagged
 p(x,j) (pendant() is the only tag helper); untyped constructions use
-free-form tags such as s(u1,u2).  Vertex ids are dense 0..p-1 in a fixed
-canonical order: u vertices by index, then v, w, y, z, then pendants
-grouped by parent (parents in id order, pendant index ascending).  Graphs
-are immutable once built, and identical parameters always produce identical
-vertex orderings and edge sets.
+free-form tags such as s(u1,u2).  Graphs are immutable once built, and
+identical parameters always produce identical vertex orderings and edge
+sets.
 
-The closed-form labelers in formulas.py compute vertex ids from this order
-by arithmetic instead of building the graph and looking tags up, so
-build_theorem1/2/3 must keep it exactly: changing it changes every
-labeling they produce.
+The three theorem families are data: THEOREM_FAMILIES lists each one's
+vertex classes and edge classes, and one interpreter builds every theorem
+graph from it.  The table also fixes the canonical vertex id order: the
+classes in table order, each by index, then the pendants grouped by parent
+(parents in id order, pendant index ascending).  IdOrder is the one place
+that turns a class and index into an id; the closed-form labelers in
+formulas.py take their ids from it, so they agree with the builders by
+construction.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import re
 from dataclasses import dataclass
 from itertools import chain, starmap
 from operator import eq, itemgetter
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .canon import canonical_dumps, sha256_hex
 
@@ -107,10 +109,6 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return len(self.adjacency()[v])
-
-    def tag_index(self) -> dict:
-        """Map from tag to vertex id."""
-        return {t: i for i, t in enumerate(self.tags)}
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -268,25 +266,12 @@ def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     return Graph(tags, edges)
 
 
-def _ladder_parts(n: int):
-    """Tags and edges of the ladder on n rungs (n >= 2)."""
-    tags = ([f"u{i}" for i in range(1, n + 1)]
-            + [f"v{i}" for i in range(1, n + 1)])
-    edges = []
-    for i in range(n - 1):
-        edges.append((i, i + 1))          # u path
-        edges.append((n + i, n + i + 1))  # v path
-    for i in range(n):
-        edges.append((i, n + i))          # rungs
-    return tags, edges
-
-
 def ladder(n: int) -> Graph:
-    """Two parallel paths u1..un and v1..vn joined by rungs ui-vi."""
+    """Two parallel paths u1..un and v1..vn joined by rungs ui-vi: the
+    theorem-1 family without pendants."""
     if n < 2:
         raise ValueError("ladder needs n >= 2")
-    tags, edges = _ladder_parts(n)
-    return Graph(tags, edges, Family("ladder", n=n, m=0))
+    return _build(1, n, 0)
 
 
 def _append_pendants(tags: list, edges: list, m: int) -> None:
@@ -353,9 +338,55 @@ def triangular_snake(k: int) -> Graph:
 
 # -- the three pendant families --------------------------------------------
 
-# theorem number -> (name of its size parameter, least value); every theorem
-# also needs m >= 1
-_THEOREM_DOMAINS = {1: ("n", 2), 2: ("n", 2), 3: ("k", 1)}
+
+@dataclass(frozen=True)
+class TheoremFamily:
+    """The graph family of one theorem, as data.
+
+    kind names the family in graph files, and its size parameter param (n
+    or k) is at least least; every theorem also needs m >= 1 pendants per
+    vertex.  classes(a) gives the family at size a: its vertex classes in
+    canonical id order, each a letter c and a count (c1..c(count)), and its
+    edge classes, each (A, I, B, J) for the edges A_i - B_j with i, j taken
+    pairwise from the index ranges I and J.
+    """
+
+    kind: str
+    param: str
+    least: int
+    classes: Callable
+
+
+def _ladder_classes(n):
+    return ((("u", n), ("v", n)),
+            (("u", range(1, n), "u", range(2, n + 1)),  # u path
+             ("v", range(1, n), "v", range(2, n + 1)),  # v path
+             ("u", range(1, n + 1), "v", range(1, n + 1))))  # rungs
+
+
+def _sub_ladder_classes(n):
+    # the side paths have 2n-1 vertices; the midpoint w_j of rung j joins
+    # their odd positions 2j-1
+    side, rungs, odd = 2 * n - 1, range(1, n + 1), range(1, 2 * n, 2)
+    return ((("u", side), ("v", side), ("w", n)),
+            (("u", range(1, side), "u", range(2, side + 1)),
+             ("v", range(1, side), "v", range(2, side + 1)),
+             ("u", odd, "w", rungs), ("w", rungs, "v", odd)))
+
+
+def _sub_tri_snake_classes(k):
+    # block i is the paths u_i y_i u(i+1) and u_i v_i w_i z_i u(i+1)
+    i, right = range(1, k + 1), range(2, k + 2)
+    return ((("u", k + 1), ("v", k), ("w", k), ("y", k), ("z", k)),
+            (("u", i, "y", i), ("y", i, "u", right), ("u", i, "v", i),
+             ("v", i, "w", i), ("w", i, "z", i), ("z", i, "u", right)))
+
+
+THEOREM_FAMILIES = {
+    1: TheoremFamily("ladder", "n", 2, _ladder_classes),
+    2: TheoremFamily("sub-ladder", "n", 2, _sub_ladder_classes),
+    3: TheoremFamily("sub-tri-snake", "k", 1, _sub_tri_snake_classes),
+}
 
 # largest edge count a theorem instance may have, about eight times the
 # largest benchmark instance (t1(2000,30), q = 125,998); building, labeling
@@ -365,7 +396,7 @@ MAX_THEOREM_Q = 1_000_000
 
 def theorem_q(number: int, a: int, m: int) -> int:
     """Edge count of theorem `number`'s graph at size a (n or k) with m
-    pendants per vertex."""
+    pendants per vertex, the paper's closed form."""
     if number == 1:
         return 2 * m * a + 3 * a - 2
     if number == 2:
@@ -376,7 +407,8 @@ def theorem_q(number: int, a: int, m: int) -> int:
 def check_theorem_domain(number: int, a: int, m: int) -> None:
     """Raise ValueError unless theorem `number` is defined at size a and m
     pendants per vertex, with at most MAX_THEOREM_Q edges."""
-    param, least = _THEOREM_DOMAINS[number]
+    family = THEOREM_FAMILIES[number]
+    param, least = family.param, family.least
     if a < least:
         raise ValueError(f"theorem{number} needs {param} >= {least}")
     if m < 1:
@@ -387,70 +419,79 @@ def check_theorem_domain(number: int, a: int, m: int) -> None:
                          f"q={q} edges; the limit is {MAX_THEOREM_Q}")
 
 
+class IdOrder:
+    """The canonical vertex ids of theorem `number`'s graph at size a with m
+    pendants per vertex.
+
+    vertices and edges are the family's classes at size a.  The vertex
+    classes come in table order, each indexed from 1, so c_i has id
+    first[c] + i; then come the pendants, grouped by parent, so pendant j of
+    the vertex with id x has id p0 + x*m + j - 1 (as _append_pendants
+    numbers them).  p is the vertex count.
+    """
+
+    def __init__(self, number: int, a: int, m: int):
+        self.vertices, self.edges = THEOREM_FAMILIES[number].classes(a)
+        self.m = m
+        self.first = {}
+        p0 = 0
+        for letter, count in self.vertices:
+            self.first[letter] = p0 - 1
+            p0 += count
+        self.p0 = p0
+        self.p = p0 * (m + 1)
+
+    def ids(self, letter: str, indices: range, j: int = 0) -> range:
+        """Ids of letter_i for i in indices (an ascending range), or of
+        pendant j of each when j >= 1."""
+        first, step = self.first[letter] + indices.start, indices.step
+        if j:
+            first, step = self.p0 + first * self.m + j - 1, step * self.m
+        return range(first, first + len(indices) * step, step)
+
+    def tag(self, v: int) -> str:
+        """The tag of the vertex with id v."""
+        if v >= self.p0:
+            parent, j = divmod(v - self.p0, self.m)
+            return pendant(self.tag(parent), j + 1)
+        for letter, first in reversed(self.first.items()):
+            if first < v:
+                return f"{letter}{v - first}"
+
+
+def _build(number: int, a: int, m: int) -> Graph:
+    """Theorem `number`'s graph at size a with m pendants per vertex, read
+    off its family table; no domain check."""
+    order = IdOrder(number, a, m)
+    tags = [f"{letter}{i}" for letter, count in order.vertices
+            for i in range(1, count + 1)]
+    edges = []
+    for x, xs, y, ys in order.edges:
+        edges += zip(order.ids(x, xs), order.ids(y, ys))
+    _append_pendants(tags, edges, m)
+    family = THEOREM_FAMILIES[number]
+    return Graph(tags, edges, Family(family.kind, **{family.param: a}, m=m))
+
+
 def build_theorem1(n: int, m: int) -> Graph:
     """Ladder on n rungs with m pendant edges on every vertex.
-
-    Ids: u_i = i-1, v_i = n+i-1, pendants from 2n.
-    p = 2n(m+1), q = 2mn + 3n - 2.
-    """
+    p = 2n(m+1), q = 2mn + 3n - 2."""
     check_theorem_domain(1, n, m)
-    tags, edges = _ladder_parts(n)
-    _append_pendants(tags, edges, m)
-    return Graph(tags, edges, Family("ladder", n=n, m=m))
+    return _build(1, n, m)
 
 
 def build_theorem2(n: int, m: int) -> Graph:
     """Subdivided ladder with m pendant edges on every vertex.
-
-    The side paths become u1..u(2n-1) and v1..v(2n-1); each original rung
-    gains a midpoint, so rungs exist only at odd path positions 2j-1 and the
-    midpoints are w1..wn.  With side = 2n-1, ids are u_i = i-1,
-    v_i = side+i-1, w_j = 2*side+j-1, pendants from 5n-2.
-    p = (5n-2)(m+1), q = m(5n-2) + 2(3n-2).
-    """
+    p = (5n-2)(m+1), q = m(5n-2) + 2(3n-2)."""
     check_theorem_domain(2, n, m)
-    side = 2 * n - 1
-    tags = ([f"u{i}" for i in range(1, side + 1)]
-            + [f"v{i}" for i in range(1, side + 1)]
-            + [f"w{j}" for j in range(1, n + 1)])
-    edges = []
-    for i in range(side - 1):
-        edges.append((i, i + 1))                  # u path
-        edges.append((side + i, side + i + 1))    # v path
-    for j in range(1, n + 1):
-        u_id = 2 * j - 2
-        v_id = side + 2 * j - 2
-        w_id = 2 * side + j - 1
-        edges.append((u_id, w_id))
-        edges.append((w_id, v_id))
-    _append_pendants(tags, edges, m)
-    return Graph(tags, edges, Family("sub-ladder", n=n, m=m))
+    return _build(2, n, m)
 
 
 def build_theorem3(k: int, m: int) -> Graph:
     """Subdivided triangular snake with m pendant edges on every vertex.
-
-    Block i of the subdivided snake contributes the six edges ui-yi,
-    yi-u(i+1), ui-vi, vi-wi, wi-zi, zi-u(i+1).  Ids: u_i = i-1 (i <= k+1),
-    v_i = k+i, w_i = 2k+i, y_i = 3k+i, z_i = 4k+i, pendants from 5k+1.
-    p = (5k+1)(m+1), q = (5m+6)k + m.
-    """
+    p = (5k+1)(m+1), q = (5m+6)k + m."""
     check_theorem_domain(3, k, m)
-    tags = ([f"u{i}" for i in range(1, k + 2)]
-            + [f"{c}{i}" for c in "vwyz" for i in range(1, k + 1)])
-    v0, w0, y0, z0 = k + 1, 2 * k + 1, 3 * k + 1, 4 * k + 1
-    edges = []
-    for i in range(k):
-        u, u_next = i, i + 1
-        v, w, y, z = v0 + i, w0 + i, y0 + i, z0 + i
-        edges.append((u, y))
-        edges.append((y, u_next))
-        edges.append((u, v))
-        edges.append((v, w))
-        edges.append((w, z))
-        edges.append((z, u_next))
-    _append_pendants(tags, edges, m)
-    return Graph(tags, edges, Family("sub-tri-snake", k=k, m=m))
+    return _build(3, k, m)
 
 
 # -- structural helpers -----------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from .canon import canonical_dumps
-from .graphs import Graph
+from .graphs import Graph, _is_int
 
 Labeling = List[Optional[int]]
 
@@ -262,6 +262,6 @@ def labeling_from_json_obj(obj: dict) -> Tuple[str, Labeling]:
     if not isinstance(arr, list):
         raise ValueError("'labels' must be an array indexed by vertex id")
     for v, x in enumerate(arr):
-        if x is not None and (not isinstance(x, int) or isinstance(x, bool)):
+        if x is not None and not _is_int(x):
             raise ValueError(f"label at index {v} is not an integer")
     return fp, arr

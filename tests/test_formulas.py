@@ -9,6 +9,8 @@ from oddgraceful import (Graph, build_theorem1, build_theorem2, build_theorem3,
                          label_theorem1, label_theorem2, label_theorem3,
                          labeling_to_json, verify_odd_graceful)
 from oddgraceful.cli import _THEOREMS, parse_grid
+from oddgraceful.formulas import SCHEMES
+from oddgraceful.graphs import pendant, theorem_q
 from oddgraceful.labeling import (DUPLICATE_EDGE_LABEL,
                                   DUPLICATE_VERTEX_LABEL,
                                   MISSING_ODD_EDGE_LABEL,
@@ -71,7 +73,7 @@ def test_theorem1_n5_collision_witness():
     # v4's and v5's pendant edges both evaluate to 7 under the literal rows
     g = build_theorem1(5, 1)
     labels, _ = label_theorem1(5, 1)
-    idx = g.tag_index()
+    idx = {t: v for v, t in enumerate(g.tags)}
     assert labels[idx["v4"]] == 43 and labels[idx["p(v4,1)"]] == 36
     assert labels[idx["v5"]] == 4 and labels[idx["p(v5,1)"]] == 11
     report = verify_odd_graceful(g, labels)
@@ -106,7 +108,7 @@ def test_theorem2_frozen_n2_collision():
 def test_theorem2_n2_collision_value_for_all_m(m):
     g = build_theorem2(2, m)
     labels, _ = label_theorem2(2, m)
-    idx = g.tag_index()
+    idx = {t: v for v, t in enumerate(g.tags)}
     assert labels[idx["u2"]] == labels[idx["w1"]] == 2 * g.q - 9
     report = verify_odd_graceful(g, labels)
     dups = [v for v in report.violations if v.kind == DUPLICATE_VERTEX_LABEL]
@@ -124,7 +126,7 @@ def test_theorem2_literal_w_collides_with_v6_from_n4(n):
     # w_n = 2q-5 meets v6 = 2q-6+1 once the v path reaches index 6
     g = build_theorem2(n, 1)
     labels, _ = label_theorem2(n, 1)
-    idx = g.tag_index()
+    idx = {t: v for v, t in enumerate(g.tags)}
     assert labels[idx[f"w{n}"]] == labels[idx["v6"]] == 2 * g.q - 5
     report = verify_odd_graceful(g, labels)
     dups = [v for v in report.violations if v.kind == DUPLICATE_VERTEX_LABEL]
@@ -251,11 +253,78 @@ def test_labeler_ids_and_q_match_the_built_graph(number, a, m, repairs):
     _, build, label, _ = _THEOREMS[number]
     g = build(a, m)
     labels, interp = label(a, m, apply_repairs=repairs)
-    idx = g.tag_index()
+    idx = {t: v for v, t in enumerate(g.tags)}
     uncovered = sorted(idx[str(t)] for t in interp.uncovered)
     assert len(labels) == g.p
     assert [v for v, x in enumerate(labels) if x is None] == uncovered
     assert labels[idx[TOP_VERTEX[number]]] == 2 * g.q - 1
+
+
+# -- the scheme tables --------------------------------------------------------
+
+# the benchmark's large-instance workload: (number, a, m)
+LARGE_INSTANCES = [(1, 2000, 30), (2, 1000, 20), (3, 1000, 20)]
+
+
+def rows_in_effect(number, a, m, repairs):
+    """The scheme's rows at (a, m), each repaired row replaced when repairs
+    is set, and the repairs as {name: row}."""
+    _, rows, fixes = SCHEMES[number](a, m, theorem_q(number, a, m))
+    fixes = {name: row for name, (_, row) in fixes.items()}
+    return ({**rows, **fixes} if repairs else rows), fixes
+
+
+def row_labels(idx, row, m):
+    """{vertex id: label} of one row, its formula evaluated once per vertex
+    and each id looked up in idx, the tag index of the built graph."""
+    letter, is_pendant, indices, label = row
+    js = range(1, m + 1) if is_pendant else (0,)
+    return {idx[pendant(f"{letter}{i}", j) if j else f"{letter}{i}"]:
+            label(i, j) for i in indices for j in js}
+
+
+def test_scheme_rows_write_disjoint_vertices():
+    for number, a, m in sorted(set(parse_grid(AUDIT_GRID))):
+        g = _THEOREMS[number][1](a, m)
+        idx = {t: v for v, t in enumerate(g.tags)}
+        for repairs in (False, True):
+            rows, fixes = rows_in_effect(number, a, m, repairs)
+            written = [set(row_labels(idx, row, m)) for row in rows.values()]
+            assert len(set().union(*written)) == sum(map(len, written)), \
+                (number, a, m, repairs)
+        # a repair covers the row it replaces, so writing it over the
+        # literal labeling replaces that row
+        literal, _ = rows_in_effect(number, a, m, False)
+        for name, row in fixes.items():
+            assert set(row_labels(idx, row, m)) >= set(
+                row_labels(idx, literal[name], m))
+
+
+def assert_labeler_matches_rows(number, a, m, g):
+    """The labeler's slices equal the rows evaluated vertex by vertex, under
+    both repair settings, and uncovered names exactly the rest."""
+    idx = {t: v for v, t in enumerate(g.tags)}
+    for repairs in (False, True):
+        want = [None] * g.p
+        rows, _ = rows_in_effect(number, a, m, repairs)
+        for row in rows.values():
+            for v, x in row_labels(idx, row, m).items():
+                want[v] = x
+        labels, interp = _THEOREMS[number][2](a, m, apply_repairs=repairs)
+        assert labels == want, (number, a, m, repairs)
+        assert list(interp.uncovered) == [
+            g.tags[v] for v, x in enumerate(want) if x is None]
+
+
+def test_labelers_match_rows_evaluated_per_vertex_on_audit_grid():
+    for number, a, m in sorted(set(parse_grid(AUDIT_GRID))):
+        assert_labeler_matches_rows(number, a, m, _THEOREMS[number][1](a, m))
+
+
+@pytest.mark.parametrize("number,a,m", LARGE_INSTANCES)
+def test_labelers_match_rows_evaluated_per_vertex_on_large_instances(
+        number, a, m):
+    assert_labeler_matches_rows(number, a, m, _THEOREMS[number][1](a, m))
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """Construction, tagging, and serialization tests for the graph families."""
 
+import hashlib
 import json
 
 import pytest
@@ -12,6 +13,7 @@ from oddgraceful import (Family, Graph, build_theorem1, build_theorem2,
                          cycle_graph, is_bipartite, ladder, path_graph,
                          subdivide, triangular_snake, two_coloring)
 from oddgraceful.canon import canonical_dumps
+from oddgraceful.cli import parse_grid
 from oddgraceful.graphs import (MAX_THEOREM_Q, check_theorem_domain,
                                 theorem_q)
 
@@ -60,7 +62,7 @@ def test_ladder_counts_and_tags():
     assert (ladder(3).p, ladder(3).q) == (6, 7)
     assert (ladder(10).p, ladder(10).q) == (20, 28)
     assert [str(t) for t in g.tags] == ["u1", "u2", "v1", "v2"]
-    idx = g.tag_index()
+    idx = {t: v for v, t in enumerate(g.tags)}
     assert (idx["u1"], idx["u2"]) in g.edges or (idx["u2"], idx["u1"]) in g.edges
 
 
@@ -215,7 +217,7 @@ def test_canonical_vertex_order_theorem3():
 
 def test_theorem2_rungs_at_odd_positions_only():
     g = build_theorem2(3, 1)
-    idx = g.tag_index()
+    idx = {t: v for v, t in enumerate(g.tags)}
     for j in (1, 2, 3):
         w = idx[f"w{j}"]
         nbrs = {str(g.tags[v]) for v in g.adjacency()[w]}
@@ -258,6 +260,22 @@ def test_theorem3_skeleton_isomorphic_to_subdivided_snake():
         assert len(skel_edges) == ref.q
         assert nx.is_isomorphic(nx.Graph(skel_edges),
                                 nx.Graph(list(ref.edges)))
+
+
+AUDIT_GRID = ("theorem1:n=2..100,m=1..5;theorem2:n=2..50,m=1..5;"
+              "theorem3:k=1..50,m=1..5")
+# sha256 over g.to_json() for every AUDIT_GRID instance in sorted order,
+# taken when each builder was still a hand-written loop
+AUDIT_GRID_GRAPHS_SHA256 = (
+    "7a5dae4699bbccc0a2ad2e725d76c0286cc17f31fc572ed0371d53dc8583fb5c")
+
+
+def test_builders_match_golden_graph_digest():
+    builders = {1: build_theorem1, 2: build_theorem2, 3: build_theorem3}
+    digest = hashlib.sha256()
+    for number, a, m in sorted(set(parse_grid(AUDIT_GRID))):
+        digest.update(builders[number](a, m).to_json().encode("utf-8"))
+    assert digest.hexdigest() == AUDIT_GRID_GRAPHS_SHA256
 
 
 def test_construction_determinism():
