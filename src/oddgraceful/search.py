@@ -14,7 +14,7 @@ from time import perf_counter
 from typing import Optional
 
 from .canon import canonical_dumps
-from .graphs import Graph
+from .graphs import Graph, two_coloring
 from .labeling import Labeling, verify_odd_graceful
 
 
@@ -25,8 +25,10 @@ def engine_name() -> str:
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budgets for find_odd_graceful: None means unlimited, 0 stops before
-    the first placement, negative values are rejected."""
+    """Budgets for find_odd_graceful: None means unlimited, anything but
+    None or an int >= 0 is rejected.  node_budget=0 stops before the first
+    placement; the clock is read every 4096 placements, so a search shorter
+    than that finishes whatever time_budget_ms says."""
 
     node_budget: Optional[int] = None
     time_budget_ms: Optional[int] = None
@@ -34,8 +36,8 @@ class SearchConfig:
     def __post_init__(self):
         for name in ("node_budget", "time_budget_ms"):
             value = getattr(self, name)
-            if value is not None and value < 0:
-                raise ValueError(f"{name} must be >= 0, got {value}")
+            if value is not None and (type(value) is not int or value < 0):
+                raise ValueError(f"{name} must be an int >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -124,76 +126,75 @@ def _run_dfs(p, q, first_cap, earlier, node_budget, time_budget_ms):
     """Complete DFS over vertex-label assignments in [0, 2q-1].
 
     Vertices are handled in placement order ("positions"); earlier[pos]
-    holds the earlier positions adjacent to pos; used vertex and edge labels
-    live in bitsets.  A position with a placed neighbor only tries values of
-    the opposite parity, since every edge label must be odd.  Statistics:
-    nodes counts successful placements, backtracks counts removals,
-    max_depth is the deepest prefix of placed positions.  The node budget is
-    checked before every placement, the time budget every 4096 placements;
-    budgets are -1 when unlimited.  Returns (status, labels_by_position |
-    None, nodes, backtracks, max_depth).
+    holds the earlier positions adjacent to pos.  Used vertex labels live
+    in the bitset used_v, used edge labels d in used_e (bit d) and in its
+    mirror used_r (bit 2q-1-d).  Each visit of a position computes its
+    candidates as one bitset: a placed neighbor labeled y rules out y + d
+    (used_e << y) and y - d (used_r >> (2q-1-y)) for every used d, and
+    every value of y's parity, since every edge label must be odd; two
+    neighbors whose labels have an even sum rule out their midpoint, where
+    the two new edges would share a label.  The lowest candidate above the
+    last value tried is placed, so values are tried in ascending order.
+    Masks are recomputed on every visit, never kept per position, so only
+    O(p + q) words are held at any depth.  Statistics: nodes counts
+    successful placements, backtracks counts removals, max_depth is the
+    deepest prefix of placed positions.  The node budget is checked before
+    every placement, the time budget every 4096 placements; budgets are -1
+    when unlimited.  Returns (status, labels_by_position | None, nodes,
+    backtracks, max_depth).
     """
     t0 = perf_counter()
     max_label = 2 * q - 1
+    full = (1 << (max_label + 1)) - 1
+    first = (1 << (first_cap + 1)) - 1
+    evens = full // 3          # bits 0, 2, 4, ...
+    same_parity = (evens, evens << 1)
     labels = [0] * p
     last = [-1] * p            # last candidate value tried per position
-    used_v = 0                 # vertex-label bitset
-    used_e = 0                 # edge-label bitset
+    used_v = 0
+    used_e = 0
+    used_r = 0
     nodes = 0
     backtracks = 0
     max_depth = 0
     pos = 0
 
     while True:
-        cap = first_cap if pos == 0 else max_label
         nbrs = earlier[pos]
+        forbid = used_v
+        for i, j in enumerate(nbrs):
+            y = labels[j]
+            forbid |= (same_parity[y & 1] | used_e << y
+                       | used_r >> (max_label - y))
+            for k in nbrs[i + 1:]:
+                s = y + labels[k]
+                if not s & 1:
+                    forbid |= 1 << (s >> 1)
         start = last[pos] + 1
-        step = 1
-        if nbrs:
-            req = (labels[nbrs[0]] & 1) ^ 1
-            if start & 1 != req:
-                start += 1
-            step = 2
+        cand = ((first if pos == 0 else full) & ~forbid) >> start
 
-        placed = False
-        x = start
-        while x <= cap:
-            bit = 1 << x
-            if not used_v & bit:
-                new_bits = 0
-                ok = True
-                for j in nbrs:
-                    d = x - labels[j]
-                    if d < 0:
-                        d = -d
-                    eb = 1 << d
-                    if not d & 1 or (used_e | new_bits) & eb:
-                        ok = False
-                        break
-                    new_bits |= eb
-                if ok:
-                    if node_budget >= 0 and nodes >= node_budget:
-                        return (_NODE_BUDGET, None, nodes, backtracks,
-                                max_depth)
-                    labels[pos] = x
-                    last[pos] = x
-                    used_v |= bit
-                    used_e |= new_bits
-                    nodes += 1
-                    if pos + 1 > max_depth:
-                        max_depth = pos + 1
-                    if (time_budget_ms >= 0 and nodes % 4096 == 0
-                            and (perf_counter() - t0) * 1000.0 > time_budget_ms):
-                        return (_TIME_BUDGET, None, nodes, backtracks,
-                                max_depth)
-                    placed = True
-                    break
-            x += step
-
-        if placed:
+        if cand:
+            if node_budget >= 0 and nodes >= node_budget:
+                return (_NODE_BUDGET, None, nodes, backtracks, max_depth)
+            x = start + (cand & -cand).bit_length() - 1
+            labels[pos] = x
+            last[pos] = x
+            used_v |= 1 << x
+            for j in nbrs:
+                d = x - labels[j]
+                if d < 0:
+                    d = -d
+                used_e |= 1 << d
+                used_r |= 1 << (max_label - d)
+            nodes += 1
             pos += 1
+            if pos > max_depth:
+                max_depth = pos
+            if (time_budget_ms >= 0 and nodes % 4096 == 0
+                    and (perf_counter() - t0) * 1000.0 > time_budget_ms):
+                return (_TIME_BUDGET, None, nodes, backtracks, max_depth)
             if pos == p:
-                return (_FOUND, list(labels), nodes, backtracks, max_depth)
+                return (_FOUND, labels, nodes, backtracks, max_depth)
             last[pos] = -1
             continue
 
@@ -202,12 +203,13 @@ def _run_dfs(p, q, first_cap, earlier, node_budget, time_budget_ms):
         if pos < 0:
             return (_EXHAUSTED, None, nodes, backtracks, max_depth)
         x = labels[pos]
-        used_v &= ~(1 << x)
+        used_v ^= 1 << x
         for j in earlier[pos]:
             d = x - labels[j]
             if d < 0:
                 d = -d
-            used_e &= ~(1 << d)
+            used_e ^= 1 << d
+            used_r ^= 1 << (max_label - d)
         backtracks += 1
 
 
@@ -215,17 +217,22 @@ def find_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()
                       ) -> SearchOutcome:
     """Find an odd-graceful labeling of g or certify that none exists.
 
-    Complete depth-first search with ascending value order.  Pruning: a new
-    edge label that is even or already used kills the branch; candidate
-    values are restricted to the parity forced by an already-placed
-    neighbor; and the first placed vertex of a connected graph is capped at
-    q-1 (the complement transform maps any solution to one satisfying the
-    cap, so no verdict is lost).  Every found labeling is re-verified before
-    return.
+    A graph with an odd cycle is "none" with zero statistics, in O(p + q):
+    every edge label is odd, so labels alternate parity along each edge and
+    an odd-graceful graph is bipartite.  Otherwise a complete depth-first
+    search with ascending value order runs.  Pruning: a new edge label that
+    is even or already used kills the branch; candidate values are
+    restricted to the parity forced by an already-placed neighbor; and the
+    first placed vertex of a connected graph is capped at q-1 (the
+    complement transform maps any solution to one satisfying the cap, so no
+    verdict is lost).  Every found labeling is re-verified before return.
     """
     if g.p == 0:
         raise ValueError("cannot search the empty graph")
     t0 = perf_counter()
+    if two_coloring(g) is None:
+        return SearchOutcome("none", SearchStats(
+            0, 0, int((perf_counter() - t0) * 1000), 0))
     q = g.q
 
     if q == 0:

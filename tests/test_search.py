@@ -2,11 +2,13 @@
 and pinned statistics."""
 
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oddgraceful import search
 from oddgraceful import (Graph, SearchConfig, build_theorem1, build_theorem2,
                          build_theorem3, corona_pendants, cycle_graph,
                          exhaustive_oracle, find_odd_graceful, path_graph,
@@ -114,13 +116,21 @@ def test_time_budget_inconclusive():
     assert outcome.reason == "time-budget"
 
 
+def c4_plus_5k1():
+    """C4 plus five isolated vertices: bipartite, but p = 9 > 2q = 8, so no
+    labeling exists and the search must exhaust its tree."""
+    return Graph([f"v{i + 1}" for i in range(9)], cycle_graph(4).edges)
+
+
 # (graph, node budget, status, reason, nodes, backtracks, max_depth,
 # labels by vertex id): the search's statistics are part of its contract.
+# Odd cycles (C5, C7) are settled by the two-coloring before any search.
 PINNED_STATS = {
-    "C5": (lambda: cycle_graph(5), None, "none", None, 322, 322, 4, None),
+    "C5": (lambda: cycle_graph(5), None, "none", None, 0, 0, 0, None),
     "C6": (lambda: cycle_graph(6), None, "found", None, 36, 30, 6,
            [0, 1, 4, 9, 2, 11]),
-    "C7": (lambda: cycle_graph(7), None, "none", None, 9136, 9136, 6, None),
+    "C7": (lambda: cycle_graph(7), None, "none", None, 0, 0, 0, None),
+    "C4+5K1": (c4_plus_5k1, None, "none", None, 1160, 1160, 8, None),
     "t1(3,1)": (lambda: build_theorem1(3, 1), None, "found", None, 3026, 3014,
                 12, [1, 0, 3, 24, 5, 12, 22, 25, 16, 7, 20, 23]),
     "t3(1,1)": (lambda: build_theorem3(1, 1), None, "found", None, 14886,
@@ -154,7 +164,8 @@ def test_backtracks_bounded_by_nodes():
 
 
 def test_exhaustion_backtracks_equal_nodes():
-    stats = find_odd_graceful(cycle_graph(5)).stats
+    stats = find_odd_graceful(c4_plus_5k1()).stats
+    assert stats.nodes_expanded > 0
     assert stats.backtracks == stats.nodes_expanded
 
 
@@ -193,6 +204,47 @@ def test_negative_budgets_rejected():
         SearchConfig(time_budget_ms=-1)
 
 
+@pytest.mark.parametrize("value", [True, False, 2.5, 10.0, "10"])
+@pytest.mark.parametrize("name", ["node_budget", "time_budget_ms"])
+def test_non_int_budgets_rejected(name, value):
+    with pytest.raises(ValueError, match=name):
+        SearchConfig(**{name: value})
+
+
+def test_zero_time_budget_lets_a_short_search_finish():
+    # the clock is read every 4096 placements, so three placements finish
+    outcome = find_odd_graceful(path_graph(3), SearchConfig(time_budget_ms=0))
+    assert outcome.status == "found"
+    assert verify_odd_graceful(path_graph(3), outcome.labeling).ok
+
+
+def test_odd_cycle_certified_before_any_search():
+    # without the certificate the search spends its 10 nodes and stops
+    # inconclusive
+    outcome = find_odd_graceful(triangular_snake(40),
+                                SearchConfig(node_budget=10))
+    assert (outcome.status, outcome.reason) == ("none", None)
+    assert (outcome.stats.nodes_expanded, outcome.stats.backtracks,
+            outcome.stats.max_depth) == (0, 0, 0)
+
+
+def test_deep_search_memory_is_linear():
+    # t1(1000,10): p = 22,000, q = 22,998.  6,000 nodes place 6,000
+    # positions without a backtrack.  A kernel holding one 2q-bit mask per
+    # placed position would hold 6,000 * 46,000 bits, about 34 MB, here.
+    g = build_theorem1(1000, 10)
+    g.adjacency()
+    tracemalloc.start()
+    try:
+        outcome = find_odd_graceful(g, SearchConfig(node_budget=6000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert outcome.status == "inconclusive"
+    assert outcome.stats.max_depth == 6000
+    assert peak < 8 * 10 ** 6
+
+
 def test_outcome_json_shape():
     import json
 
@@ -225,3 +277,139 @@ def test_engine_agrees_with_oracle_on_random_graphs(g):
             # edge label 2q-1 forces both ends of the label range
             assert {0, 2 * g.q - 1} <= set(engine.labeling)
 
+
+# -- reference equivalence ---------------------------------------------------
+#
+# _reference_dfs is the scan kernel the bitset kernel replaced: it tries
+# every value of the forced parity in ascending order and checks each placed
+# neighbor.  On bipartite graphs the bitset kernel must place the same
+# values in the same order, so every statistic agrees.
+
+
+def _reference_dfs(p, q, first_cap, earlier, node_budget):
+    max_label = 2 * q - 1
+    labels = [0] * p
+    last = [-1] * p
+    used_v = 0
+    used_e = 0
+    nodes = 0
+    backtracks = 0
+    max_depth = 0
+    pos = 0
+
+    while True:
+        cap = first_cap if pos == 0 else max_label
+        nbrs = earlier[pos]
+        start = last[pos] + 1
+        step = 1
+        if nbrs:
+            req = (labels[nbrs[0]] & 1) ^ 1
+            if start & 1 != req:
+                start += 1
+            step = 2
+
+        placed = False
+        x = start
+        while x <= cap:
+            bit = 1 << x
+            if not used_v & bit:
+                new_bits = 0
+                ok = True
+                for j in nbrs:
+                    d = x - labels[j]
+                    if d < 0:
+                        d = -d
+                    eb = 1 << d
+                    if not d & 1 or (used_e | new_bits) & eb:
+                        ok = False
+                        break
+                    new_bits |= eb
+                if ok:
+                    if node_budget >= 0 and nodes >= node_budget:
+                        return ("inconclusive", "node-budget", None, nodes,
+                                backtracks, max_depth)
+                    labels[pos] = x
+                    last[pos] = x
+                    used_v |= bit
+                    used_e |= new_bits
+                    nodes += 1
+                    if pos + 1 > max_depth:
+                        max_depth = pos + 1
+                    placed = True
+                    break
+            x += step
+
+        if placed:
+            pos += 1
+            if pos == p:
+                return ("found", None, list(labels), nodes, backtracks,
+                        max_depth)
+            last[pos] = -1
+            continue
+
+        pos -= 1
+        if pos < 0:
+            return ("none", None, None, nodes, backtracks, max_depth)
+        x = labels[pos]
+        used_v &= ~(1 << x)
+        for j in earlier[pos]:
+            d = x - labels[j]
+            if d < 0:
+                d = -d
+            used_e &= ~(1 << d)
+        backtracks += 1
+
+
+def assert_matches_reference(g, node_budget):
+    order, connected = search._bfs_order(g)
+    status, reason, by_pos, nodes, backtracks, depth = _reference_dfs(
+        g.p, g.q, g.q - 1 if connected else 2 * g.q - 1,
+        search._earlier_neighbors(g, order),
+        -1 if node_budget is None else node_budget)
+    labeling = None
+    if by_pos is not None:
+        labeling = [None] * g.p
+        for v, x in zip(order, by_pos):
+            labeling[v] = x
+    outcome = find_odd_graceful(g, SearchConfig(node_budget=node_budget))
+    assert (outcome.status, outcome.reason, outcome.labeling) == (
+        status, reason, labeling)
+    assert (outcome.stats.nodes_expanded, outcome.stats.backtracks,
+            outcome.stats.max_depth) == (nodes, backtracks, depth)
+
+
+@st.composite
+def bipartite_graphs(draw):
+    p = draw(st.integers(min_value=2, max_value=12))
+    side = [0, 1] + draw(st.lists(st.integers(0, 1), min_size=p - 2,
+                                  max_size=p - 2))
+    pairs = [(a, b) for a in range(p) for b in range(a + 1, p)
+             if side[a] != side[b]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1,
+                          max_size=12))
+    return Graph([f"v{i + 1}" for i in range(p)], edges)
+
+
+@given(bipartite_graphs(), st.sampled_from([0, 1, 50, None]))
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_reference_on_random_bipartite_graphs(g, budget):
+    assert_matches_reference(g, budget)
+
+
+# the five capped search-audit instances, then two whose candidate masks
+# span several machine words (q = 48 and q = 162)
+REFERENCE_CASES = {
+    "t1(5,1)": (lambda: build_theorem1(5, 1), 10 ** 4),
+    "t1(6,1)": (lambda: build_theorem1(6, 1), 10 ** 4),
+    "t2(2,1)": (lambda: build_theorem2(2, 1), 10 ** 4),
+    "t2(2,2)": (lambda: build_theorem2(2, 2), 10 ** 4),
+    "t3(2,1)": (lambda: build_theorem3(2, 1), 10 ** 4),
+    "t1(10,1)": (lambda: build_theorem1(10, 1), 5 * 10 ** 4),
+    "t3(10,2)": (lambda: build_theorem3(10, 2), 5 * 10 ** 4),
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_CASES))
+def test_kernel_matches_reference_on_fixed_cases(name):
+    make, budget = REFERENCE_CASES[name]
+    assert_matches_reference(make(), budget)
