@@ -36,8 +36,10 @@ _THEOREMS = {
 _THEOREM_NUMBERS = {family: number
                     for number, (*_, family) in _THEOREMS.items()}
 
-SWEEP_HEADER = ("family,n_or_k,m,p,q,closed_form_verdict,first_violation,"
-                "search_outcome,search_nodes,elapsed_ms")
+# the sweep CSV's columns, in order: the keys of each build_sweep_rows row
+SWEEP_COLUMNS = ("family", "n_or_k", "m", "p", "q", "closed_form_verdict",
+                 "first_violation", "search_outcome", "search_nodes",
+                 "elapsed_ms")
 SWEEP_SEARCH_Q_CAP = 30
 SWEEP_DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -231,12 +233,8 @@ def build_sweep_rows(instances, policy: str, node_budget: int):
 
 
 def rows_to_csv(rows) -> str:
-    lines = [SWEEP_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r['family']},{r['n_or_k']},{r['m']},{r['p']},{r['q']},"
-            f"{r['closed_form_verdict']},{r['first_violation']},"
-            f"{r['search_outcome']},{r['search_nodes']},{r['elapsed_ms']}")
+    lines = [",".join(SWEEP_COLUMNS)]
+    lines += [",".join([str(r[c]) for c in SWEEP_COLUMNS]) for r in rows]
     return "\n".join(lines) + "\n"
 
 

@@ -497,27 +497,43 @@ def build_theorem3(k: int, m: int) -> Graph:
 # -- structural helpers -----------------------------------------------------
 
 
-def two_coloring(g: Graph):
-    """BFS 2-coloring: list of 0/1 colors, or None if some component has an
-    odd cycle."""
+def _walk(g: Graph, roots: Iterable[int]):
+    """BFS over every component of g, 2-coloring as it goes.
+
+    Each root not yet reached starts a new component; neighbors are visited
+    in ascending id.  Returns (order, colors, components): the vertices in
+    visit order, a 0/1 color per vertex and the number of roots used; or
+    None as soon as an edge joins two vertices of one color, which is an
+    odd cycle.
+    """
     colors = [-1] * g.p
     adj = g.adjacency()
-    for root in range(g.p):
+    order = []
+    components = 0
+    for root in roots:
         if colors[root] != -1:
             continue
+        components += 1
         colors[root] = 0
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
+        head = len(order)
+        order.append(root)
+        while head < len(order):
+            v = order[head]
             head += 1
             for nb in adj[v]:
                 if colors[nb] == -1:
                     colors[nb] = colors[v] ^ 1
-                    queue.append(nb)
+                    order.append(nb)
                 elif colors[nb] == colors[v]:
                     return None
-    return colors
+    return order, colors, components
+
+
+def two_coloring(g: Graph):
+    """BFS 2-coloring from the roots in id order: list of 0/1 colors, or
+    None if some component has an odd cycle."""
+    walk = _walk(g, range(g.p))
+    return None if walk is None else walk[1]
 
 
 def is_bipartite(g: Graph) -> bool:

@@ -4,14 +4,15 @@ A labeling is the `labels` array of the labeling file: a list indexed by
 vertex id, with None for an unlabeled vertex.  Each edge gets the absolute
 difference of its endpoint labels.  A labeling of a graph with q edges is
 odd-graceful when the vertex labels are pairwise distinct values in
-[0, 2q-1] and the induced edge labels are exactly the odd numbers
-{1, 3, ..., 2q-1}.
+[0, max_label(q)], where max_label(q) = max(2q-1, 0), and the induced edge
+labels are exactly the odd numbers {1, 3, ..., 2q-1}.
 
-Verification is exhaustive: every violated condition is reported, not just
-the first, and violations come out in a canonical order (kind, then involved
-ids) so reports diff cleanly across sweep runs.  Labelings may be partial;
-unlabeled vertices become MissingVertexLabel violations, but a labeling
-whose length is not the vertex count raises ValueError.
+The definition is written once, as one scan that yields each violation as
+it is seen.  verify_odd_graceful runs it to the end and reports every
+violation in a canonical order (kind, then involved ids) so reports diff
+cleanly across sweep runs; is_odd_graceful stops at the first.  Labelings
+may be partial; unlabeled vertices become MissingVertexLabel violations,
+but a labeling whose length is not the vertex count raises ValueError.
 """
 
 from __future__ import annotations
@@ -122,60 +123,54 @@ def _check_labeling(g: Graph, labels: Labeling) -> None:
             f"vertex {v} has label {labels[v]!r}, not an int or None")
 
 
-def verify_odd_graceful(g: Graph, labels: Labeling) -> VerificationReport:
-    """Check every odd-graceful condition and report all violations.
+def max_label(q: int) -> int:
+    """Largest label in range for a graph with q edges: 2q-1, or 0 when
+    q = 0, so that a single vertex labeled 0 is odd-graceful."""
+    return max(2 * q - 1, 0)
 
-    The label range is [0, 2q-1]; for q = 0 only the single label 0 is in
-    range, so a one-vertex graph labeled 0 passes vacuously and nothing
-    larger can.  Out-of-range and duplicate vertex labels still contribute
-    to edge-label computation so reports stay exhaustive.
 
-    Time is linear in p + q.  The first holder of each in-range vertex or
-    edge value sits in a list indexed by value; out-of-range values go to a
-    dict, so nothing allocated is sized by a label's value.
+def _violations(g: Graph, labels: Labeling):
+    """Yield each violated odd-graceful condition as soon as it is seen.
+
+    A repeated vertex or edge value is yielded once, with its first two
+    holders.  Out-of-range and duplicate vertex labels still give their
+    edges a value, so the scan is exhaustive when run to the end.  The
+    first holder of each in-range value sits in a list indexed by value and
+    of any other value in a dict, so nothing is sized by a label's value.
     """
     _check_labeling(g, labels)
-    q = g.q
-    max_label = 2 * q - 1 if q > 0 else 0
-    violations = []
+    top = max_label(g.q)
 
-    # first holder of each value (list for in-range values, dict for the
-    # rest); a duplicate is reported by its first two holders only
-    vertex_first, vertex_other, vertex_dups = [None] * (max_label + 1), {}, {}
+    vertex_first, vertex_other, repeated = [None] * (top + 1), {}, set()
     for v, x in enumerate(labels):
         if x is None:
-            violations.append(Violation(MISSING_VERTEX_LABEL, vertex_ids=(v,)))
+            yield Violation(MISSING_VERTEX_LABEL, vertex_ids=(v,))
             continue
-        if 0 <= x <= max_label:
+        if 0 <= x <= top:
             held = vertex_first[x]
             if held is None:
                 vertex_first[x] = v
                 continue
         else:
-            violations.append(
-                Violation(VERTEX_LABEL_OUT_OF_RANGE, vertex_ids=(v,), label=x))
+            yield Violation(VERTEX_LABEL_OUT_OF_RANGE, vertex_ids=(v,),
+                            label=x)
             held = vertex_other.setdefault(x, v)
             if held == v:
                 continue
-        vertex_dups.setdefault(x, (held, v))
+        if x not in repeated:
+            repeated.add(x)
+            yield Violation(DUPLICATE_VERTEX_LABEL, vertex_ids=(held, v),
+                            label=x)
 
-    for value in sorted(vertex_dups):
-        violations.append(Violation(
-            DUPLICATE_VERTEX_LABEL,
-            vertex_ids=vertex_dups[value],
-            label=value,
-        ))
-
-    edge_first, edge_other, edge_dups = [None] * (max_label + 1), {}, {}
+    edge_first, edge_other, repeated = [None] * (top + 1), {}, set()
     for e in g.edges:
         x, y = labels[e[0]], labels[e[1]]
         if x is None or y is None:
             continue
         d = abs(x - y)
         if d % 2 == 0:
-            violations.append(
-                Violation(EDGE_LABEL_EVEN, edge_ids=(e,), label=d))
-        if d <= max_label:
+            yield Violation(EDGE_LABEL_EVEN, edge_ids=(e,), label=d)
+        if d <= top:
             held = edge_first[d]
             if held is None:
                 edge_first[d] = e
@@ -184,48 +179,35 @@ def verify_odd_graceful(g: Graph, labels: Labeling) -> VerificationReport:
             held = edge_other.setdefault(d, e)
             if held == e:
                 continue
-        edge_dups.setdefault(d, (held, e))
+        if d not in repeated:
+            repeated.add(d)
+            yield Violation(DUPLICATE_EDGE_LABEL, edge_ids=(held, e), label=d)
 
-    for value in sorted(edge_dups):
-        violations.append(Violation(
-            DUPLICATE_EDGE_LABEL,
-            edge_ids=edge_dups[value],
-            label=value,
-        ))
-
-    for odd in range(1, 2 * q, 2):
+    for odd in range(1, top + 1, 2):
         if edge_first[odd] is None:
-            violations.append(Violation(MISSING_ODD_EDGE_LABEL, label=odd))
+            yield Violation(MISSING_ODD_EDGE_LABEL, label=odd)
 
-    violations.sort(key=Violation.sort_key)
-    return VerificationReport(ok=not violations, q=q, violations=tuple(violations))
+
+def verify_odd_graceful(g: Graph, labels: Labeling) -> VerificationReport:
+    """Check every odd-graceful condition and report all violations.
+
+    The label range is [0, max_label(q)]; for q = 0 only the single label 0
+    is in range, so a one-vertex graph labeled 0 passes vacuously and
+    nothing larger can.  Time is linear in p + q.
+    """
+    violations = sorted(_violations(g, labels), key=Violation.sort_key)
+    return VerificationReport(ok=not violations, q=g.q,
+                              violations=tuple(violations))
 
 
 def is_odd_graceful(g: Graph, labels: Labeling) -> bool:
-    """Fast boolean form of verify_odd_graceful: same definition, first
-    failure short-circuits, no report is built."""
-    _check_labeling(g, labels)
-    q = g.q
-    max_label = 2 * q - 1 if q > 0 else 0
-    seen = bytearray(max_label + 1)
-    for x in labels:
-        if x is None or not (0 <= x <= max_label) or seen[x]:
-            return False
-        seen[x] = 1
-    # every label is now in [0, max_label], so every difference is too
-    used = bytearray(max_label + 1)
-    for a, b in g.edges:
-        d = labels[a] - labels[b]
-        if d < 0:
-            d = -d
-        if not (d & 1) or used[d]:
-            return False
-        used[d] = 1
-    return True
+    """Boolean form of verify_odd_graceful: the same scan, stopped at the
+    first violation, and no report is built."""
+    return next(_violations(g, labels), None) is None
 
 
 def complement_labeling(g: Graph, labels: Labeling) -> Labeling:
-    """Map every label x to 2q-1-x.
+    """Map every label x to max_label(q) - x.
 
     The transform preserves edge labels and the label range, so it is an
     involution that preserves the odd-graceful property.  Requires a total
@@ -234,7 +216,7 @@ def complement_labeling(g: Graph, labels: Labeling) -> Labeling:
     _check_labeling(g, labels)
     if None in labels:
         raise ValueError(f"vertex {labels.index(None)} is unlabeled")
-    top = 2 * g.q - 1
+    top = max_label(g.q)
     return [top - x for x in labels]
 
 

@@ -1,9 +1,11 @@
 """Complete backtracking search for odd-graceful labelings.
 
-The search assigns labels vertex by vertex in a BFS order rooted at a
-maximum-degree vertex, so every vertex after the first has at least one
-already-placed neighbor and edge constraints prune immediately.  It is an
-independent oracle: it never consults the closed-form labelers.
+The search walks the graph once, breadth first from a maximum-degree
+vertex: the walk 2-colors the graph, which settles any graph with an odd
+cycle, and fixes the order in which labels are placed, so every vertex after
+a component's root has an already-placed neighbor and edge constraints prune
+immediately.  It is an independent oracle: it never consults the closed-form
+labelers.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from time import perf_counter
 from typing import Optional
 
 from .canon import canonical_dumps
-from .graphs import Graph, two_coloring
-from .labeling import Labeling, verify_odd_graceful
+from .graphs import Graph, _walk
+from .labeling import Labeling, max_label, verify_odd_graceful
 
 
 def engine_name() -> str:
@@ -78,35 +80,6 @@ class SearchOutcome:
         return canonical_dumps(self.to_json_obj())
 
 
-def _bfs_order(g: Graph):
-    """Placement order: BFS from a maximum-degree vertex (smallest id on
-    ties), neighbors visited in ascending id; restarted per component.
-    Returns (order, connected)."""
-    adj = g.adjacency()
-    by_degree = sorted(range(g.p), key=lambda v: (-len(adj[v]), v))
-    visited = [False] * g.p
-    order = []
-    roots = 0
-    next_root = 0  # every vertex before it in by_degree is visited
-    while len(order) < g.p:
-        while visited[by_degree[next_root]]:
-            next_root += 1
-        root = by_degree[next_root]
-        roots += 1
-        visited[root] = True
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            order.append(v)
-            for nb in adj[v]:
-                if not visited[nb]:
-                    visited[nb] = True
-                    queue.append(nb)
-    return order, roots == 1
-
-
 def _earlier_neighbors(g: Graph, order):
     """Per placement position, the ascending positions of its neighbors
     placed before it."""
@@ -116,22 +89,24 @@ def _earlier_neighbors(g: Graph, order):
             for d, v in enumerate(order)]
 
 
-_FOUND = 0
-_EXHAUSTED = 1
-_NODE_BUDGET = 2
-_TIME_BUDGET = 3
+# kernel statuses, as the (status, reason) of the outcome they give
+_FOUND = ("found", None)
+_EXHAUSTED = ("none", None)
+_NODE_BUDGET = ("inconclusive", "node-budget")
+_TIME_BUDGET = ("inconclusive", "time-budget")
 
 
 def _run_dfs(p, q, first_cap, earlier, node_budget, time_budget_ms):
-    """Complete DFS over vertex-label assignments in [0, 2q-1].
+    """Complete DFS over vertex-label assignments in [0, max_label(q)].
 
     Vertices are handled in placement order ("positions"); earlier[pos]
     holds the earlier positions adjacent to pos.  Used vertex labels live
     in the bitset used_v, used edge labels d in used_e (bit d) and in its
-    mirror used_r (bit 2q-1-d).  Each visit of a position computes its
-    candidates as one bitset: a placed neighbor labeled y rules out y + d
-    (used_e << y) and y - d (used_r >> (2q-1-y)) for every used d, and
-    every value of y's parity, since every edge label must be odd; two
+    mirror used_r (bit top-d, where top = max_label(q)).  Each visit of a
+    position computes its candidates as one bitset: a placed neighbor
+    labeled y rules out y + d (used_e << y) and y - d (used_r >> (top-y))
+    for every used d, and every value of y's parity, since every edge
+    label must be odd; two
     neighbors whose labels have an even sum rule out their midpoint, where
     the two new edges would share a label.  The lowest candidate above the
     last value tried is placed, so values are tried in ascending order.
@@ -141,11 +116,12 @@ def _run_dfs(p, q, first_cap, earlier, node_budget, time_budget_ms):
     deepest prefix of placed positions.  The node budget is checked before
     every placement, the time budget every 4096 placements; budgets are -1
     when unlimited.  Returns (status, labels_by_position | None, nodes,
-    backtracks, max_depth).
+    backtracks, max_depth), where status is one of the (status, reason)
+    pairs _FOUND, _EXHAUSTED, _NODE_BUDGET and _TIME_BUDGET.
     """
     t0 = perf_counter()
-    max_label = 2 * q - 1
-    full = (1 << (max_label + 1)) - 1
+    top = max_label(q)
+    full = (1 << (top + 1)) - 1
     first = (1 << (first_cap + 1)) - 1
     evens = full // 3          # bits 0, 2, 4, ...
     same_parity = (evens, evens << 1)
@@ -165,7 +141,7 @@ def _run_dfs(p, q, first_cap, earlier, node_budget, time_budget_ms):
         for i, j in enumerate(nbrs):
             y = labels[j]
             forbid |= (same_parity[y & 1] | used_e << y
-                       | used_r >> (max_label - y))
+                       | used_r >> (top - y))
             for k in nbrs[i + 1:]:
                 s = y + labels[k]
                 if not s & 1:
@@ -185,7 +161,7 @@ def _run_dfs(p, q, first_cap, earlier, node_budget, time_budget_ms):
                 if d < 0:
                     d = -d
                 used_e |= 1 << d
-                used_r |= 1 << (max_label - d)
+                used_r |= 1 << (top - d)
             nodes += 1
             pos += 1
             if pos > max_depth:
@@ -209,7 +185,7 @@ def _run_dfs(p, q, first_cap, earlier, node_budget, time_budget_ms):
             if d < 0:
                 d = -d
             used_e ^= 1 << d
-            used_r ^= 1 << (max_label - d)
+            used_r ^= 1 << (top - d)
         backtracks += 1
 
 
@@ -217,55 +193,47 @@ def find_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()
                       ) -> SearchOutcome:
     """Find an odd-graceful labeling of g or certify that none exists.
 
-    A graph with an odd cycle is "none" with zero statistics, in O(p + q):
-    every edge label is odd, so labels alternate parity along each edge and
-    an odd-graceful graph is bipartite.  Otherwise a complete depth-first
-    search with ascending value order runs.  Pruning: a new edge label that
-    is even or already used kills the branch; candidate values are
+    One BFS walk, rooted at a maximum-degree vertex (smallest id on ties)
+    and restarted per component, both 2-colors g and fixes the placement
+    order, so every vertex after a component's root has an already-placed
+    neighbor and edge constraints prune at once.  A graph with an odd cycle
+    is "none" with zero statistics, in O(p + q): every edge label is odd,
+    so labels alternate parity along each edge and an odd-graceful graph is
+    bipartite.  Otherwise a complete depth-first search with ascending
+    value order runs over [0, max_label(q)].  Pruning: a new edge label
+    that is even or already used kills the branch; candidate values are
     restricted to the parity forced by an already-placed neighbor; and the
-    first placed vertex of a connected graph is capped at q-1 (the
-    complement transform maps any solution to one satisfying the cap, so no
-    verdict is lost).  Every found labeling is re-verified before return.
+    first placed vertex of a connected graph is capped at max_label(q) // 2
+    (the complement transform maps any solution to one satisfying the cap,
+    so no verdict is lost).  Every found labeling is re-verified before
+    return.
     """
     if g.p == 0:
         raise ValueError("cannot search the empty graph")
     t0 = perf_counter()
-    if two_coloring(g) is None:
-        return SearchOutcome("none", SearchStats(
-            0, 0, int((perf_counter() - t0) * 1000), 0))
-    q = g.q
+    adj = g.adjacency()
+    walk = _walk(g, sorted(range(g.p), key=lambda v: -len(adj[v])))
+    if walk is None:
+        result = _EXHAUSTED, None, 0, 0, 0
+    else:
+        order, _, components = walk
+        top = max_label(g.q)
+        result = _run_dfs(
+            g.p, g.q, top // 2 if components == 1 else top,
+            _earlier_neighbors(g, order),
+            -1 if cfg.node_budget is None else cfg.node_budget,
+            -1 if cfg.time_budget_ms is None else cfg.time_budget_ms)
+    (status, reason), by_pos, nodes, backtracks, max_depth = result
+    stats = SearchStats(nodes, backtracks,
+                        int((perf_counter() - t0) * 1000), max_depth)
 
-    if q == 0:
-        elapsed = int((perf_counter() - t0) * 1000)
-        if g.p == 1:
-            labeling = [0]
-            _assert_sound(g, labeling)
-            return SearchOutcome("found", SearchStats(1, 0, elapsed, 1),
-                                 labeling=labeling)
-        # two or more isolated vertices cannot share the single label 0
-        return SearchOutcome("none", SearchStats(0, 0, elapsed, 0))
-
-    order, connected = _bfs_order(g)
-    first_cap = q - 1 if connected else 2 * q - 1
-    node_budget = -1 if cfg.node_budget is None else cfg.node_budget
-    time_budget = -1 if cfg.time_budget_ms is None else cfg.time_budget_ms
-
-    status, pos_labels, nodes, backtracks, max_depth = _run_dfs(
-        g.p, q, first_cap, _earlier_neighbors(g, order), node_budget,
-        time_budget)
-
-    elapsed = int((perf_counter() - t0) * 1000)
-    stats = SearchStats(nodes, backtracks, elapsed, max_depth)
-    if status == _FOUND:
+    labeling = None
+    if by_pos is not None:
         labeling = [None] * g.p
-        for v, x in zip(order, pos_labels):
+        for v, x in zip(order, by_pos):
             labeling[v] = x
         _assert_sound(g, labeling)
-        return SearchOutcome("found", stats, labeling=labeling)
-    if status == _EXHAUSTED:
-        return SearchOutcome("none", stats)
-    reason = "node-budget" if status == _NODE_BUDGET else "time-budget"
-    return SearchOutcome("inconclusive", stats, reason=reason)
+    return SearchOutcome(status, stats, reason, labeling)
 
 
 def _assert_sound(g: Graph, labeling: Labeling) -> None:
@@ -277,16 +245,15 @@ def _assert_sound(g: Graph, labeling: Labeling) -> None:
 
 def exhaustive_oracle(g: Graph) -> SearchOutcome:
     """Brute-force cross-check: try every injection of vertices into
-    {0..2q-1} with no pruning at all, testing each against the odd-graceful
-    definition.  Guarded to q <= 6; the point is independence from the
-    engine, not speed."""
+    [0, max_label(q)] with no pruning at all, testing each against the
+    odd-graceful definition.  Guarded to q <= 6; the point is independence
+    from the engine, not speed."""
     if g.p == 0:
         raise ValueError("cannot search the empty graph")
     if g.q > 6:
         raise ValueError("exhaustive_oracle is guarded to q <= 6")
     t0 = perf_counter()
-    q = g.q
-    pool = range(2 * q) if q > 0 else range(1)
+    pool = range(max_label(g.q) + 1)
     edges = g.edges
     tested = 0
     for perm in itertools.permutations(pool, g.p):

@@ -326,6 +326,11 @@ def test_sweep_builds_each_graph_once(monkeypatch):
     assert len(set(calls)) == len(calls)
 
 
+def test_sweep_rows_are_keyed_by_the_csv_columns():
+    rows = cli.build_sweep_rows(parse_grid("theorem3:k=1,m=1"), "never", 0)
+    assert [tuple(r) for r in rows] == [cli.SWEEP_COLUMNS]
+
+
 def test_sweep_csv_content(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code, _, _ = run(capsys, "sweep", "--grid",

@@ -1,14 +1,17 @@
-"""Every name a package module imports is used in that module, and every
-private module-level name is used somewhere in the package."""
+"""Every name a package module imports is used in that module, every
+private module-level name is used somewhere in the package, the package
+imports only the standard library, and the README's library example runs."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-MODULES = sorted(p for p in (Path(__file__).parent.parent / "src"
-                             / "oddgraceful").glob("*.py")
-                 if p.name != "__init__.py")
+ROOT = Path(__file__).parent.parent
+PACKAGE = sorted((ROOT / "src" / "oddgraceful").glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str):
@@ -70,3 +73,33 @@ def test_unreferenced_private_names_are_detected():
 def test_every_private_name_is_referenced():
     sources = [p.read_text(encoding="utf-8") for p in MODULES]
     assert unreferenced_private_names(sources) == []
+
+
+def non_stdlib_imports(source: str):
+    """Top-level names of absolute imports outside the standard library;
+    relative imports are the package's own."""
+    roots = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            roots |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            roots.add(node.module.split(".")[0])
+    return sorted(roots - sys.stdlib_module_names)
+
+
+def test_non_stdlib_imports_are_detected():
+    assert non_stdlib_imports(
+        "import os.path, numpy\nfrom . import x\nfrom .a import b\n"
+        "from hypothesis import given\n") == ["hypothesis", "numpy"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_package_imports_only_the_standard_library(path):
+    assert non_stdlib_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})

@@ -106,6 +106,8 @@ def test_q_zero_two_isolated_vertices_cannot_pass():
 def test_complement_examples():
     g = path_graph(2)
     assert complement_labeling(g, [0, 1]) == [1, 0]
+    # q = 0: the range is the single label 0, which maps to itself
+    assert complement_labeling(path_graph(1), [0]) == [0]
 
 
 def test_complement_is_involution_and_preserves_verdict():
@@ -315,7 +317,9 @@ def graph_and_wild_labels(draw):
 @settings(max_examples=400, deadline=None)
 def test_verifier_matches_dict_reference(case):
     g, labels = case
-    assert verify_odd_graceful(g, labels) == _reference_verify(g, labels)
+    reference = _reference_verify(g, labels)
+    assert verify_odd_graceful(g, labels) == reference
+    assert is_odd_graceful(g, labels) == reference.ok
 
 
 @pytest.mark.parametrize("g, labels", [

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddgraceful import search
+from oddgraceful import graphs, search
 from oddgraceful import (Graph, SearchConfig, build_theorem1, build_theorem2,
                          build_theorem3, corona_pendants, cycle_graph,
                          exhaustive_oracle, find_odd_graceful, path_graph,
@@ -122,10 +122,21 @@ def c4_plus_5k1():
     return Graph([f"v{i + 1}" for i in range(9)], cycle_graph(4).edges)
 
 
+def two_k1():
+    """Two isolated vertices: q = 0, so both would need the label 0."""
+    return Graph(["v1", "v2"], [])
+
+
 # (graph, node budget, status, reason, nodes, backtracks, max_depth,
 # labels by vertex id): the search's statistics are part of its contract.
-# Odd cycles (C5, C7) are settled by the two-coloring before any search.
+# Odd cycles (C5, C7) are settled by the two-coloring before any search;
+# edgeless graphs run through the kernel over the single label 0.
 PINNED_STATS = {
+    "K1": (lambda: path_graph(1), None, "found", None, 1, 0, 1, [0]),
+    "K1@0": (lambda: path_graph(1), 0, "inconclusive", "node-budget",
+             0, 0, 0, None),
+    "2K1": (two_k1, None, "none", None, 1, 1, 1, None),
+    "2K1@0": (two_k1, 0, "inconclusive", "node-budget", 0, 0, 0, None),
     "C5": (lambda: cycle_graph(5), None, "none", None, 0, 0, 0, None),
     "C6": (lambda: cycle_graph(6), None, "found", None, 36, 30, 6,
            [0, 1, 4, 9, 2, 11]),
@@ -182,9 +193,8 @@ def test_single_vertex_and_empty():
     assert exhaustive_oracle(path_graph(1)).status == "found"
     with pytest.raises(ValueError):
         find_odd_graceful(Graph([], []))
-    two_isolated = Graph(["v1", "v2"], [])
-    assert find_odd_graceful(two_isolated).status == "none"
-    assert exhaustive_oracle(two_isolated).status == "none"
+    assert find_odd_graceful(two_k1()).status == "none"
+    assert exhaustive_oracle(two_k1()).status == "none"
 
 
 def test_many_components_placed_in_linear_time():
@@ -361,9 +371,11 @@ def _reference_dfs(p, q, first_cap, earlier, node_budget):
 
 
 def assert_matches_reference(g, node_budget):
-    order, connected = search._bfs_order(g)
+    # the placement order: BFS from a maximum-degree vertex, smallest id first
+    order, _, components = graphs._walk(
+        g, sorted(range(g.p), key=lambda v: (-g.degree(v), v)))
     status, reason, by_pos, nodes, backtracks, depth = _reference_dfs(
-        g.p, g.q, g.q - 1 if connected else 2 * g.q - 1,
+        g.p, g.q, g.q - 1 if components == 1 else 2 * g.q - 1,
         search._earlier_neighbors(g, order),
         -1 if node_budget is None else node_budget)
     labeling = None
