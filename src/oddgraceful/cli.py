@@ -41,7 +41,7 @@ SWEEP_COLUMNS = ("family", "n_or_k", "m", "p", "q", "closed_form_verdict",
                  "first_violation", "search_outcome", "search_nodes",
                  "elapsed_ms")
 SWEEP_SEARCH_Q_CAP = 30
-SWEEP_DEFAULT_NODE_BUDGET = 10_000_000
+SWEEP_DEFAULT_NODE_BUDGET = 100_000
 
 
 def _load_json(path: str):

@@ -39,12 +39,22 @@ def pendant(parent: str, j: int) -> str:
 
 @dataclass(frozen=True)
 class Family:
-    """Construction parameters attached to a generated graph instance."""
+    """Construction parameters attached to a generated graph instance: a
+    string kind, and n, k and m each None or an int (bools are rejected)."""
 
     kind: str
     n: Optional[int] = None
     k: Optional[int] = None
     m: Optional[int] = None
+
+    def __post_init__(self):
+        if not isinstance(self.kind, str):
+            raise ValueError("family object needs a string 'kind' field")
+        for name in ("n", "k", "m"):
+            value = getattr(self, name)
+            if value is not None and not _is_int(value):
+                raise ValueError(
+                    f"family field {name!r} must be an int or null")
 
     def to_json_obj(self) -> dict:
         obj = {"kind": self.kind, "n": self.n, "k": self.k, "m": self.m}
@@ -52,16 +62,11 @@ class Family:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "Family":
-        """Parse a family object: a string kind, and n, k and m each absent,
-        null or an int (bools are rejected)."""
-        if not isinstance(obj, dict) or not isinstance(obj.get("kind"), str):
+        """Parse a family object; n, k and m may be absent."""
+        if not isinstance(obj, dict):
             raise ValueError("family object needs a string 'kind' field")
-        for name in ("n", "k", "m"):
-            value = obj.get(name)
-            if value is not None and not _is_int(value):
-                raise ValueError(
-                    f"family field {name!r} must be an int or null")
-        return Family(obj["kind"], obj.get("n"), obj.get("k"), obj.get("m"))
+        return Family(obj.get("kind"), obj.get("n"), obj.get("k"),
+                      obj.get("m"))
 
 
 class Graph:

@@ -28,9 +28,11 @@ def engine_name() -> str:
 @dataclass(frozen=True)
 class SearchConfig:
     """Budgets for find_odd_graceful: None means unlimited, anything but
-    None or an int >= 0 is rejected.  node_budget=0 stops before the first
-    placement; the clock is read every 4096 placements, so a search shorter
-    than that finishes whatever time_budget_ms says."""
+    None or an int >= 0 is rejected.  Both are checked just before a
+    placement, on a clock that starts at the call: the node budget before
+    every placement, the time budget before every 4096th, the first
+    included, so a budget of 0 of either kind stops before the first
+    placement."""
 
     node_budget: Optional[int] = None
     time_budget_ms: Optional[int] = None
@@ -89,69 +91,89 @@ def _earlier_neighbors(g: Graph, order):
             for d, v in enumerate(order)]
 
 
-# kernel statuses, as the (status, reason) of the outcome they give
-_FOUND = ("found", None)
-_EXHAUSTED = ("none", None)
-_NODE_BUDGET = ("inconclusive", "node-budget")
-_TIME_BUDGET = ("inconclusive", "time-budget")
+def find_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()
+                      ) -> SearchOutcome:
+    """Find an odd-graceful labeling of g or certify that none exists.
 
+    One BFS walk, rooted at a maximum-degree vertex (smallest id on ties)
+    and restarted per component, both 2-colors g and fixes the placement
+    order, so every vertex after a component's root has an already-placed
+    neighbor and edge constraints prune at once.  A graph with an odd cycle
+    is "none" with zero statistics, in O(p + q): every edge label is odd,
+    so labels alternate parity along each edge and an odd-graceful graph is
+    bipartite.
 
-def _run_dfs(p, q, first_cap, earlier, node_budget, time_budget_ms):
-    """Complete DFS over vertex-label assignments in [0, max_label(q)].
+    Otherwise a complete depth-first search over [0, max_label(q)] places
+    labels in walk order ("positions"); earlier[pos] holds the earlier
+    positions adjacent to pos.  Used vertex labels live in the bitset
+    used_v, used edge labels d in used_e (bit d) and in its mirror used_r
+    (bit top-d, where top = max_label(q)).  Each visit of a position
+    computes its candidates as one bitset: a placed neighbor labeled y rules
+    out y + d (used_e << y) and y - d (used_r >> (top-y)) for every used d.
+    The graph is bipartite and placed in walk order, so all placed
+    neighbors of a position share one parity: every value of the first
+    one's parity is ruled out, since edge labels are odd, and each pair of
+    them rules out the midpoint of their labels, where the two new edges
+    would share a label.  The first placed vertex of a connected graph is
+    capped at max_label(q) // 2 (the complement transform maps any solution
+    to one satisfying the cap, so no verdict is lost).  The lowest
+    candidate above the last value tried is placed, so values are tried in
+    ascending order.  Masks are recomputed on every visit, so only
+    O(p + q) words are held at any depth.
 
-    Vertices are handled in placement order ("positions"); earlier[pos]
-    holds the earlier positions adjacent to pos.  Used vertex labels live
-    in the bitset used_v, used edge labels d in used_e (bit d) and in its
-    mirror used_r (bit top-d, where top = max_label(q)).  Each visit of a
-    position computes its candidates as one bitset: a placed neighbor
-    labeled y rules out y + d (used_e << y) and y - d (used_r >> (top-y))
-    for every used d, and every value of y's parity, since every edge
-    label must be odd; two
-    neighbors whose labels have an even sum rule out their midpoint, where
-    the two new edges would share a label.  The lowest candidate above the
-    last value tried is placed, so values are tried in ascending order.
-    Masks are recomputed on every visit, never kept per position, so only
-    O(p + q) words are held at any depth.  Statistics: nodes counts
-    successful placements, backtracks counts removals, max_depth is the
-    deepest prefix of placed positions.  The node budget is checked before
-    every placement, the time budget every 4096 placements; budgets are -1
-    when unlimited.  Returns (status, labels_by_position | None, nodes,
-    backtracks, max_depth), where status is one of the (status, reason)
-    pairs _FOUND, _EXHAUSTED, _NODE_BUDGET and _TIME_BUDGET.
+    Both budgets are checked together, just before a placement, on a clock
+    that starts at the call: the node budget before every placement, the
+    deadline before every 4096th (the first included).  Statistics: nodes
+    counts placements, backtracks counts removals, max_depth is the deepest
+    prefix of placed positions.  Every found labeling is re-verified before
+    return.
     """
+    if g.p == 0:
+        raise ValueError("cannot search the empty graph")
     t0 = perf_counter()
-    top = max_label(q)
+    adj = g.adjacency()
+    walk = _walk(g, sorted(range(g.p), key=lambda v: -len(adj[v])))
+    if walk is None:
+        return SearchOutcome(
+            "none", SearchStats(0, 0, int((perf_counter() - t0) * 1000), 0))
+    order, _, components = walk
+    earlier = _earlier_neighbors(g, order)
+    node_budget = cfg.node_budget
+    deadline = (None if cfg.time_budget_ms is None
+                else t0 + cfg.time_budget_ms / 1000)
+    p = g.p
+    top = max_label(g.q)
     full = (1 << (top + 1)) - 1
-    first = (1 << (first_cap + 1)) - 1
+    first = (1 << ((top // 2 if components == 1 else top) + 1)) - 1
     evens = full // 3          # bits 0, 2, 4, ...
     same_parity = (evens, evens << 1)
     labels = [0] * p
     last = [-1] * p            # last candidate value tried per position
-    used_v = 0
-    used_e = 0
-    used_r = 0
-    nodes = 0
-    backtracks = 0
-    max_depth = 0
+    used_v = used_e = used_r = 0
+    nodes = backtracks = max_depth = 0
     pos = 0
 
     while True:
         nbrs = earlier[pos]
         forbid = used_v
+        if nbrs:
+            forbid |= same_parity[labels[nbrs[0]] & 1]
         for i, j in enumerate(nbrs):
             y = labels[j]
-            forbid |= (same_parity[y & 1] | used_e << y
-                       | used_r >> (top - y))
+            forbid |= used_e << y | used_r >> (top - y)
             for k in nbrs[i + 1:]:
-                s = y + labels[k]
-                if not s & 1:
-                    forbid |= 1 << (s >> 1)
+                forbid |= 1 << ((y + labels[k]) >> 1)
         start = last[pos] + 1
         cand = ((first if pos == 0 else full) & ~forbid) >> start
 
         if cand:
-            if node_budget >= 0 and nodes >= node_budget:
-                return (_NODE_BUDGET, None, nodes, backtracks, max_depth)
+            if node_budget is not None and nodes >= node_budget:
+                status, reason = "inconclusive", "node-budget"
+                break
+            if (deadline is not None and not nodes & 4095
+                    and perf_counter() > deadline):
+                status, reason = "inconclusive", "time-budget"
+                break
             x = start + (cand & -cand).bit_length() - 1
             labels[pos] = x
             last[pos] = x
@@ -166,18 +188,17 @@ def _run_dfs(p, q, first_cap, earlier, node_budget, time_budget_ms):
             pos += 1
             if pos > max_depth:
                 max_depth = pos
-            if (time_budget_ms >= 0 and nodes % 4096 == 0
-                    and (perf_counter() - t0) * 1000.0 > time_budget_ms):
-                return (_TIME_BUDGET, None, nodes, backtracks, max_depth)
             if pos == p:
-                return (_FOUND, labels, nodes, backtracks, max_depth)
+                status, reason = "found", None
+                break
             last[pos] = -1
             continue
 
         # no candidate left at pos: undo the previous placement
         pos -= 1
         if pos < 0:
-            return (_EXHAUSTED, None, nodes, backtracks, max_depth)
+            status, reason = "none", None
+            break
         x = labels[pos]
         used_v ^= 1 << x
         for j in earlier[pos]:
@@ -188,49 +209,12 @@ def _run_dfs(p, q, first_cap, earlier, node_budget, time_budget_ms):
             used_r ^= 1 << (top - d)
         backtracks += 1
 
-
-def find_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()
-                      ) -> SearchOutcome:
-    """Find an odd-graceful labeling of g or certify that none exists.
-
-    One BFS walk, rooted at a maximum-degree vertex (smallest id on ties)
-    and restarted per component, both 2-colors g and fixes the placement
-    order, so every vertex after a component's root has an already-placed
-    neighbor and edge constraints prune at once.  A graph with an odd cycle
-    is "none" with zero statistics, in O(p + q): every edge label is odd,
-    so labels alternate parity along each edge and an odd-graceful graph is
-    bipartite.  Otherwise a complete depth-first search with ascending
-    value order runs over [0, max_label(q)].  Pruning: a new edge label
-    that is even or already used kills the branch; candidate values are
-    restricted to the parity forced by an already-placed neighbor; and the
-    first placed vertex of a connected graph is capped at max_label(q) // 2
-    (the complement transform maps any solution to one satisfying the cap,
-    so no verdict is lost).  Every found labeling is re-verified before
-    return.
-    """
-    if g.p == 0:
-        raise ValueError("cannot search the empty graph")
-    t0 = perf_counter()
-    adj = g.adjacency()
-    walk = _walk(g, sorted(range(g.p), key=lambda v: -len(adj[v])))
-    if walk is None:
-        result = _EXHAUSTED, None, 0, 0, 0
-    else:
-        order, _, components = walk
-        top = max_label(g.q)
-        result = _run_dfs(
-            g.p, g.q, top // 2 if components == 1 else top,
-            _earlier_neighbors(g, order),
-            -1 if cfg.node_budget is None else cfg.node_budget,
-            -1 if cfg.time_budget_ms is None else cfg.time_budget_ms)
-    (status, reason), by_pos, nodes, backtracks, max_depth = result
     stats = SearchStats(nodes, backtracks,
                         int((perf_counter() - t0) * 1000), max_depth)
-
     labeling = None
-    if by_pos is not None:
-        labeling = [None] * g.p
-        for v, x in zip(order, by_pos):
+    if status == "found":
+        labeling = [None] * p
+        for v, x in zip(order, labels):
             labeling[v] = x
         _assert_sound(g, labeling)
     return SearchOutcome(status, stats, reason, labeling)

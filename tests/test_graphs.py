@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -480,6 +481,20 @@ def test_graph_loader_rejects_malformed_document(break_doc):
     break_doc(doc)
     with pytest.raises(ValueError):
         Graph.from_json_obj(doc)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"kind": "x", "n": True}, "family field 'n' must be an int or null"),
+    ({"kind": "x", "k": 2.0}, "family field 'k' must be an int or null"),
+    ({"kind": 3}, "family object needs a string 'kind' field"),
+], ids=["n-bool", "k-float", "kind-int"])
+def test_family_constructor_rejects_what_the_loader_rejects(fields, message):
+    # otherwise a graph carrying such a family writes a file that
+    # Graph.from_json cannot read back
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Family(**fields)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Family.from_json_obj(fields)
 
 
 @st.composite

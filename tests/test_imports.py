@@ -1,13 +1,17 @@
 """Every name a package module imports is used in that module, every
 private module-level name is used somewhere in the package, the package
-imports only the standard library, and the README's library example runs."""
+imports only the standard library, and the README's library example and
+command-line block run."""
 
 import ast
 import re
+import shlex
 import sys
 from pathlib import Path
 
 import pytest
+
+from oddgraceful import cli
 
 ROOT = Path(__file__).parent.parent
 PACKAGE = sorted((ROOT / "src" / "oddgraceful").glob("*.py"))
@@ -103,3 +107,15 @@ def test_readme_library_example_runs():
     blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)
     assert len(blocks) == 1
     exec(compile(blocks[0], "README.md", "exec"), {})
+
+
+def test_readme_command_line_block_runs(tmp_path, monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = [b for b in re.findall(r"^```\n(.*?)^```$", readme, re.S | re.M)
+              if b.startswith("oddgraceful ")]
+    assert len(blocks) == 1
+    monkeypatch.chdir(tmp_path)
+    for line in blocks[0].replace("\\\n", "").splitlines():
+        argv = shlex.split(line)
+        assert argv[0] == "oddgraceful"
+        assert cli.main(argv[1:]) == 0, (line, capsys.readouterr().err)

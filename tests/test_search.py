@@ -109,11 +109,11 @@ def test_node_budget_large_enough_finds():
 
 
 def test_time_budget_inconclusive():
-    # large enough to run past the first 4096-expansion time check
     g = build_theorem2(2, 1)
     outcome = find_odd_graceful(g, SearchConfig(time_budget_ms=0))
     assert outcome.status == "inconclusive"
     assert outcome.reason == "time-budget"
+    assert outcome.stats.nodes_expanded % 4096 == 0
 
 
 def c4_plus_5k1():
@@ -221,11 +221,12 @@ def test_non_int_budgets_rejected(name, value):
         SearchConfig(**{name: value})
 
 
-def test_zero_time_budget_lets_a_short_search_finish():
-    # the clock is read every 4096 placements, so three placements finish
+def test_zero_time_budget_stops_before_the_first_placement():
+    # the deadline is read before the first placement, as the node budget is
     outcome = find_odd_graceful(path_graph(3), SearchConfig(time_budget_ms=0))
-    assert outcome.status == "found"
-    assert verify_odd_graceful(path_graph(3), outcome.labeling).ok
+    assert (outcome.status, outcome.reason) == ("inconclusive", "time-budget")
+    assert outcome.stats.nodes_expanded == 0
+    assert outcome.labeling is None
 
 
 def test_odd_cycle_certified_before_any_search():
