@@ -21,7 +21,7 @@ import sys
 from .formulas import label_theorem1, label_theorem2, label_theorem3
 from .graphs import (THEOREM_FAMILIES, Graph, build_theorem1, build_theorem2,
                      build_theorem3, check_theorem_domain)
-from .labeling import (MISSING_VERTEX_LABEL, labeling_from_json_obj,
+from .labeling import (first_violation, labeling_from_json_obj,
                        labeling_to_json, verify_odd_graceful)
 from .search import SearchConfig, find_odd_graceful
 
@@ -196,19 +196,17 @@ def build_sweep_rows(instances, policy: str, node_budget: int):
         param, builder, labeler, family = _THEOREMS[number]
         g = builder(a, m)
         labels, interp = labeler(a, m)
-        report = verify_odd_graceful(g, labels)
-        if report.ok:
+        # the unlabeled vertices are exactly interp.uncovered, which the
+        # partial verdict already summarizes, so first skips them
+        ok, first = first_violation(g, labels)
+        if ok:
             verdict = "pass"
         elif interp.uncovered:
             verdict = f"partial({len(interp.uncovered)})"
         else:
             verdict = "fail"
-        # the unlabeled vertices are exactly interp.uncovered, which the
-        # partial verdict already summarizes
-        first = next((v.short(g) for v in report.violations
-                      if v.kind != MISSING_VERTEX_LABEL), "")
         run_search = (policy == "always" or
-                      (policy == "on-fail" and not report.ok))
+                      (policy == "on-fail" and not ok))
         if run_search and g.q <= SWEEP_SEARCH_Q_CAP:
             outcome = find_odd_graceful(
                 g, SearchConfig(node_budget=node_budget))
@@ -224,7 +222,7 @@ def build_sweep_rows(instances, policy: str, node_budget: int):
             "p": g.p,
             "q": g.q,
             "closed_form_verdict": verdict,
-            "first_violation": first,
+            "first_violation": "" if first is None else first.short(g),
             "search_outcome": search_outcome,
             "search_nodes": search_nodes,
             "elapsed_ms": elapsed_ms,

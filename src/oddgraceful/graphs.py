@@ -23,18 +23,20 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from itertools import chain, starmap
+from itertools import chain, repeat, starmap
 from operator import eq, itemgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .canon import canonical_dumps, sha256_hex
 
 _PENDANT_RE = re.compile(r"^p\((.+),([1-9][0-9]*)\)$")
+# pendant tag = head + parent tag + index tail, also joined by _append_pendants
+_PENDANT_HEAD, _PENDANT_TAIL = "p(", ",{})".format
 
 
 def pendant(parent: str, j: int) -> str:
     """The tag of pendant j (1-based) of the vertex tagged parent."""
-    return f"p({parent},{j})"
+    return _PENDANT_HEAD + parent + _PENDANT_TAIL(j)
 
 
 @dataclass(frozen=True)
@@ -281,20 +283,21 @@ def ladder(n: int) -> Graph:
 
 def _append_pendants(tags: list, edges: list, m: int) -> None:
     """Append m pendant vertices and edges to every vertex in tags, grouped
-    by parent in parent id order with pendant index ascending, so pendant j
-    of vertex x gets id p + x*m + j - 1.  A vertex that already has
-    pendants numbers the new ones after them, so tags stay distinct."""
+    by parent in parent id order, so the j-th new pendant of vertex x gets
+    id p + x*m + j - 1 and is numbered after x's existing pendants.  Tags join
+    each parent's head to tails formatted once; edges zip each parent id,
+    repeated m times, with the new id range."""
     taken = {}  # parent tag -> highest pendant index in tags
-    for t in tags:
-        match = _PENDANT_RE.match(t)
-        if match:
-            parent, j = match.group(1), int(match.group(2))
-            taken[parent] = max(taken.get(parent, 0), j)
+    for match in filter(None, map(_PENDANT_RE.match, tags)):
+        parent, j = match.group(1), int(match.group(2))
+        taken[parent] = max(taken.get(parent, 0), j)
     p = len(tags)
-    first = [taken.get(t, 0) + 1 for t in tags]
-    tags += [pendant(parent, j) for parent, start in zip(tags, first)
-             for j in range(start, start + m)]
-    edges += [(v, p + v * m + j) for v in range(p) for j in range(m)]
+    start = list(map(taken.get, tags, repeat(0)))
+    tails = list(map(_PENDANT_TAIL, range(1, max(start, default=0) + m + 1)))
+    heads = map(_PENDANT_HEAD.__add__, tags)
+    tags += [h + t for h, s in zip(heads, start) for t in tails[s:s + m]]
+    edges += zip(chain.from_iterable(map(repeat, range(p), repeat(m))),
+                 range(p, p + p * m))
 
 
 def corona_pendants(g: Graph, m: int) -> Graph:

@@ -8,17 +8,21 @@ odd-graceful when the vertex labels are pairwise distinct values in
 labels are exactly the odd numbers {1, 3, ..., 2q-1}.
 
 The definition is written once, as one scan that yields each violation as
-it is seen.  verify_odd_graceful runs it to the end and reports every
-violation in a canonical order (kind, then involved ids) so reports diff
-cleanly across sweep runs; is_odd_graceful stops at the first.  Labelings
-may be partial; unlabeled vertices become MissingVertexLabel violations,
-but a labeling whose length is not the vertex count raises ValueError.
+it is seen, in three phases: vertex kinds, edge kinds, then missing odd edge
+labels in ascending order.  verify_odd_graceful runs it to the end and
+reports every violation in a canonical order (kind, then involved ids) so
+reports diff cleanly across sweep runs; is_odd_graceful stops at the first,
+and first_violation once no later violation can sort first.  Labelings may
+be partial; unlabeled vertices become MissingVertexLabel violations, but a
+labeling whose length is not the vertex count raises ValueError.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from itertools import compress
+from operator import not_
+from typing import List, NamedTuple, Optional, Tuple
 
 from .canon import canonical_dumps
 from .graphs import Graph, _is_int
@@ -41,10 +45,10 @@ KIND_ORDER = (
     MISSING_ODD_EDGE_LABEL,
 )
 _KIND_RANK = {kind: i for i, kind in enumerate(KIND_ORDER)}
+_KIND_PHASE = dict(zip(KIND_ORDER, (0, 0, 0, 1, 1, 2)))  # see _violations
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One violated odd-graceful condition.
 
     vertex_ids / edge_ids identify the witnesses; label is the offending
@@ -132,6 +136,8 @@ def max_label(q: int) -> int:
 def _violations(g: Graph, labels: Labeling):
     """Yield each violated odd-graceful condition as soon as it is seen.
 
+    Readers rely on the three phases: every vertex kind, every edge kind,
+    then MissingOddEdgeLabel by ascending label (ranks 0-2, 3-4, 5).
     A repeated vertex or edge value is yielded once, with its first two
     holders.  Out-of-range and duplicate vertex labels still give their
     edges a value, so the scan is exhaustive when run to the end.  The
@@ -164,11 +170,12 @@ def _violations(g: Graph, labels: Labeling):
 
     edge_first, edge_other, repeated = [None] * (top + 1), {}, set()
     for e in g.edges:
-        x, y = labels[e[0]], labels[e[1]]
+        a, b = e
+        x, y = labels[a], labels[b]
         if x is None or y is None:
             continue
-        d = abs(x - y)
-        if d % 2 == 0:
+        d = x - y if x > y else y - x
+        if not d & 1:
             yield Violation(EDGE_LABEL_EVEN, edge_ids=(e,), label=d)
         if d <= top:
             held = edge_first[d]
@@ -183,9 +190,9 @@ def _violations(g: Graph, labels: Labeling):
             repeated.add(d)
             yield Violation(DUPLICATE_EDGE_LABEL, edge_ids=(held, e), label=d)
 
-    for odd in range(1, top + 1, 2):
-        if edge_first[odd] is None:
-            yield Violation(MISSING_ODD_EDGE_LABEL, label=odd)
+    # an edge is a non-empty tuple, so not_ is true exactly at unheld values
+    for odd in compress(range(1, top + 1, 2), map(not_, edge_first[1::2])):
+        yield Violation(MISSING_ODD_EDGE_LABEL, label=odd)
 
 
 def verify_odd_graceful(g: Graph, labels: Labeling) -> VerificationReport:
@@ -204,6 +211,23 @@ def is_odd_graceful(g: Graph, labels: Labeling) -> bool:
     """Boolean form of verify_odd_graceful: the same scan, stopped at the
     first violation, and no report is built."""
     return next(_violations(g, labels), None) is None
+
+
+def first_violation(g: Graph, labels: Labeling):
+    """(ok, first violation other than MissingVertexLabel, or None) of
+    verify_odd_graceful's report: the scan is read to the end of the first
+    phase with one (phases sort in order) or to the first missing odd label."""
+    ok, held = True, []  # such violations of the first phase that has any
+    for v in _violations(g, labels):
+        ok = False
+        if v.kind == MISSING_VERTEX_LABEL:
+            continue
+        if held and _KIND_PHASE[v.kind] > _KIND_PHASE[held[0].kind]:
+            break
+        held.append(v)
+        if v.kind == MISSING_ODD_EDGE_LABEL:
+            break
+    return ok, min(held, key=Violation.sort_key, default=None)
 
 
 def complement_labeling(g: Graph, labels: Labeling) -> Labeling:

@@ -1,8 +1,9 @@
-"""The audit benchmark's contract with the package: one untraced pass of the
-audit-grid and large-instance workloads of auditbench/worker.py must check
-out with no failures.  This catches a change that breaks a name, a shape or
-a pinned output the benchmark relies on (the sweep CSV sha256, the large
-instances' verdicts and fingerprints)."""
+"""The audit benchmark's contract with the package: one untraced and one
+traced pass of the audit-grid and large-instance workloads of
+auditbench/worker.py must each check out with no failures.  This catches a
+change that breaks a name, a shape or a pinned output the benchmark relies
+on (the sweep CSV sha256, the large instances' verdicts and fingerprints),
+on either path."""
 
 import random
 import sys
@@ -29,5 +30,13 @@ def worker():
 def test_untraced_pass_has_no_failures(worker, name):
     workload = worker.WORKLOADS[name](oddgraceful, random.Random(0))
     result = workload.run_pass(None)
+    assert result.attempted > 0
+    assert result.failed == 0
+
+
+@pytest.mark.parametrize("name", ["audit-grid", "large-instance"])
+def test_traced_pass_has_no_failures(worker, name):
+    workload = worker.WORKLOADS[name](oddgraceful, random.Random(0))
+    result = workload.run_pass(worker.Tracer())
     assert result.attempted > 0
     assert result.failed == 0

@@ -112,6 +112,18 @@ def test_corona_pendant_tags_and_degrees():
 def test_corona_over_pendants_does_not_nest_tags():
     g = corona_pendants(corona_pendants(path_graph(1), 1), 1)
     assert g.tags == ("v1", "p(v1,1)", "p(v1,2)", "p(p(v1,1),1)")
+    # a, b and c already carry 0, 1 and 2 pendants: each new pendant is
+    # numbered after its parent's last one
+    base = Graph(["a", "b", "c", "p(b,1)", "p(c,1)", "p(c,2)"],
+                 [(1, 3), (2, 4), (2, 5)])
+    g = corona_pendants(base, 2)
+    assert g.tags == base.tags + (
+        "p(a,1)", "p(a,2)", "p(b,2)", "p(b,3)", "p(c,3)", "p(c,4)",
+        "p(p(b,1),1)", "p(p(b,1),2)", "p(p(c,1),1)", "p(p(c,1),2)",
+        "p(p(c,2),1)", "p(p(c,2),2)")
+    assert g.edges == (
+        (0, 6), (0, 7), (1, 3), (1, 8), (1, 9), (2, 4), (2, 5), (2, 10),
+        (2, 11), (3, 12), (3, 13), (4, 14), (4, 15), (5, 16), (5, 17))
 
 
 def test_subdivide_examples():

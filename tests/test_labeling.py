@@ -11,13 +11,15 @@ from hypothesis import strategies as st
 from oddgraceful import (Graph, build_theorem1, complement_labeling,
                          cycle_graph, is_odd_graceful, label_theorem1,
                          path_graph, verify_odd_graceful)
+from oddgraceful.cli import _THEOREMS, parse_grid
 from oddgraceful.labeling import (DUPLICATE_EDGE_LABEL,
                                   DUPLICATE_VERTEX_LABEL, EDGE_LABEL_EVEN,
                                   KIND_ORDER, MISSING_ODD_EDGE_LABEL,
                                   MISSING_VERTEX_LABEL,
                                   VERTEX_LABEL_OUT_OF_RANGE,
                                   VerificationReport, Violation,
-                                  labeling_from_json_obj, labeling_to_json)
+                                  first_violation, labeling_from_json_obj,
+                                  labeling_to_json)
 
 
 def test_p2_passes():
@@ -211,7 +213,44 @@ def graph_and_labels(draw):
 @settings(max_examples=120, deadline=None)
 def test_fast_check_agrees_with_full_verifier(case):
     g, labels = case
-    assert is_odd_graceful(g, labels) == verify_odd_graceful(g, labels).ok
+    report = verify_odd_graceful(g, labels)
+    assert is_odd_graceful(g, labels) == report.ok
+    assert first_violation(g, labels) == _ok_and_first_of(report)
+
+
+def _ok_and_first_of(report):
+    """What first_violation must return: report.ok and the report's first
+    violation other than MissingVertexLabel, or None."""
+    return report.ok, next((v for v in report.violations
+                            if v.kind != MISSING_VERTEX_LABEL), None)
+
+
+def test_first_violation_takes_the_canonical_first_of_a_phase():
+    # the scan meets the duplicate of 0 (vertex 1) before the out-of-range
+    # label 9 (vertex 2), but out-of-range sorts first; the missing vertex
+    # label is skipped, and the edge phase's even label 0 sorts after both
+    g = path_graph(4)
+    labels = [0, 0, 9, None]
+    ok, first = first_violation(g, labels)
+    assert not ok
+    assert first == Violation(VERTEX_LABEL_OUT_OF_RANGE, vertex_ids=(2,),
+                              label=9)
+    assert (ok, first) == _ok_and_first_of(verify_odd_graceful(g, labels))
+
+
+AUDIT_GRID = ("theorem1:n=2..100,m=1..5;theorem2:n=2..50,m=1..5;"
+              "theorem3:k=1..50,m=1..5")
+
+
+def test_first_violation_agrees_with_report_on_audit_grid():
+    for number, a, m in sorted(set(parse_grid(AUDIT_GRID))):
+        _, build, label, _ = _THEOREMS[number]
+        g = build(a, m)
+        for repairs in (False, True):
+            labels, _ = label(a, m, apply_repairs=repairs)
+            report = verify_odd_graceful(g, labels)
+            assert first_violation(g, labels) == _ok_and_first_of(report), (
+                number, a, m, repairs)
 
 
 @given(graph_and_labels())
