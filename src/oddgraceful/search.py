@@ -4,8 +4,10 @@ The search walks the graph once, breadth first from a maximum-degree
 vertex: the walk 2-colors the graph, which settles any graph with an odd
 cycle, and fixes the order in which labels are placed, so every vertex after
 a component's root has an already-placed neighbor and edge constraints prune
-immediately.  It is an independent oracle: it never consults the closed-form
-labelers.
+immediately.  A placement after which the largest missing edge label can no
+longer be made is undone at once, and vertices with the same neighbors take
+ascending values.  It is an independent oracle: it never consults the
+closed-form labelers.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ class SearchConfig:
     """Budgets for find_odd_graceful: None means unlimited, anything but
     None or an int >= 0 is rejected.  Both are checked just before a
     placement, on a clock that starts at the call: the node budget before
-    every placement, the time budget before every 4096th, the first
+    every placement, the time budget before every 256th, the first
     included, so a budget of 0 of either kind stops before the first
     placement."""
 
@@ -91,6 +93,33 @@ def _earlier_neighbors(g: Graph, order):
             for d, v in enumerate(order)]
 
 
+def _previous_twins(g: Graph, order):
+    """Per placement position, the latest earlier position whose vertex
+    has the same neighbors, or -1."""
+    adj = g.adjacency()
+    latest = {}
+    twins = []
+    for d, v in enumerate(order):
+        twins.append(latest.get(adj[v], -1))
+        latest[adj[v]] = d
+    return twins
+
+
+def _closing_positions(earlier):
+    """Per placement position k, the positions whose last neighbor in walk
+    order is k (k itself when no later position is adjacent to it): once k
+    is placed, their labels can start no new edge."""
+    p = len(earlier)
+    last_nbr = list(range(p))
+    for k, nbrs in enumerate(earlier):
+        for j in nbrs:
+            last_nbr[j] = k
+    closes = [[] for _ in range(p)]
+    for j, k in enumerate(last_nbr):
+        closes[k].append(j)
+    return closes
+
+
 def find_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()
                       ) -> SearchOutcome:
     """Find an odd-graceful labeling of g or certify that none exists.
@@ -118,15 +147,39 @@ def find_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()
     capped at max_label(q) // 2 (the complement transform maps any solution
     to one satisfying the cap, so no verdict is lost).  The lowest
     candidate above the last value tried is placed, so values are tried in
-    ascending order.  Masks are recomputed on every visit, so only
-    O(p + q) words are held at any depth.
+    ascending order.
+
+    After each placement the search is cut where the largest missing edge
+    label can no longer be made.  Let L be the largest odd label in
+    [1, top] that no placed edge has, and avail the bitset of values that
+    are unused or held by a placed position with an unplaced neighbor.  If
+    no x has both x and x + L in avail, the placement is undone and the next
+    candidate tried.  This is sound: in any completion L is the label of an
+    edge with an unplaced end, and both its ends take values in avail.  So
+    the cut removes only subtrees without a solution, the search meets its
+    first solution in the same order and returns the same verdict and
+    labeling as without the cut, in no more nodes.  avail changes as
+    positions close: closes[k] lists the positions whose last neighbor in
+    walk order is k, computed once in O(p + q).
+
+    Twins, vertices with the same neighbors, can swap labels in any
+    labeling.  So the first labeling in placement order gives them
+    ascending values (swapping a descending pair would make it earlier),
+    and a position starts its values above the label of its latest earlier
+    twin, twin[pos].  This too keeps the first solution, and the verdict,
+    while fewer candidates are tried.  Masks are recomputed on every visit
+    and the cut keeps one more mask, so only O(p + q) words are held at any
+    depth.
 
     Both budgets are checked together, just before a placement, on a clock
     that starts at the call: the node budget before every placement, the
-    deadline before every 4096th (the first included).  Statistics: nodes
+    deadline before every 256th (the first included), which at the
+    pure-Python kernel's speed stops a timed search within about a
+    millisecond of its deadline.  Statistics: nodes
     counts placements, backtracks counts removals, max_depth is the deepest
-    prefix of placed positions.  Every found labeling is re-verified before
-    return.
+    prefix of placed positions.  A cut placement counts as one node and one
+    backtrack, so backtracks equals nodes when the tree is exhausted.  Every
+    found labeling is re-verified before return.
     """
     if g.p == 0:
         raise ValueError("cannot search the empty graph")
@@ -138,6 +191,8 @@ def find_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()
             "none", SearchStats(0, 0, int((perf_counter() - t0) * 1000), 0))
     order, _, components = walk
     earlier = _earlier_neighbors(g, order)
+    closes = _closing_positions(earlier)
+    twin = _previous_twins(g, order)
     node_budget = cfg.node_budget
     deadline = (None if cfg.time_budget_ms is None
                 else t0 + cfg.time_budget_ms / 1000)
@@ -145,11 +200,13 @@ def find_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()
     top = max_label(g.q)
     full = (1 << (top + 1)) - 1
     first = (1 << ((top // 2 if components == 1 else top) + 1)) - 1
-    evens = full // 3          # bits 0, 2, 4, ...
-    same_parity = (evens, evens << 1)
+    evens = full // 3          # bits 0, 2, 4, ... (none when q = 0)
+    odds = evens << 1          # the edge labels 1, 3, ..., top
+    same_parity = (evens, odds)
     labels = [0] * p
     last = [-1] * p            # last candidate value tried per position
     used_v = used_e = used_r = 0
+    avail = full               # values an unplaced edge end may still take
     nodes = backtracks = max_depth = 0
     pos = 0
 
@@ -170,7 +227,7 @@ def find_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()
             if node_budget is not None and nodes >= node_budget:
                 status, reason = "inconclusive", "node-budget"
                 break
-            if (deadline is not None and not nodes & 4095
+            if (deadline is not None and not nodes & 255
                     and perf_counter() > deadline):
                 status, reason = "inconclusive", "time-budget"
                 break
@@ -184,6 +241,8 @@ def find_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()
                     d = -d
                 used_e |= 1 << d
                 used_r |= 1 << (top - d)
+            for j in closes[pos]:
+                avail ^= 1 << labels[j]
             nodes += 1
             pos += 1
             if pos > max_depth:
@@ -191,10 +250,17 @@ def find_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()
             if pos == p:
                 status, reason = "found", None
                 break
-            last[pos] = -1
-            continue
+            # the cut: the largest missing edge label needs two values of
+            # avail that far apart; if none are, undo this placement
+            missing = odds ^ used_e
+            if not missing or avail & avail >> (missing.bit_length() - 1):
+                # values up to the label of an earlier twin count as tried
+                t = twin[pos]
+                last[pos] = -1 if t < 0 else labels[t]
+                continue
 
-        # no candidate left at pos: undo the previous placement
+        # no candidate left at pos, or the placement at pos - 1 was cut:
+        # undo the previous placement
         pos -= 1
         if pos < 0:
             status, reason = "none", None
@@ -207,6 +273,8 @@ def find_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()
                 d = -d
             used_e ^= 1 << d
             used_r ^= 1 << (top - d)
+        for j in closes[pos]:
+            avail ^= 1 << labels[j]
         backtracks += 1
 
     stats = SearchStats(nodes, backtracks,

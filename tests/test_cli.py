@@ -355,15 +355,18 @@ def test_sweep_csv_content(tmp_path, capsys):
 
 def test_sweep_search_on_fail_policy(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
-    code, _, _ = run(capsys, "sweep", "--grid", "theorem2:n=2..3,m=1",
+    code, _, _ = run(capsys, "sweep", "--grid",
+                     "theorem2:n=2..3,m=1;theorem3:k=2,m=1",
                      "--search-policy", "on-fail", "--max-nodes", "2000",
                      "--out", str(out))
     assert code == 0
     rows = {tuple(ln.split(",")[:3]): ln.split(",")
             for ln in out.read_text().splitlines()[1:]}
-    assert rows[("theorem2", "2", "1")][7] == "inconclusive"
-    assert rows[("theorem2", "2", "1")][8] == "2000"
+    assert rows[("theorem2", "2", "1")][7] == "found"
+    assert rows[("theorem2", "2", "1")][8] == "196"
     assert rows[("theorem2", "3", "1")][7] == "skipped"
+    assert rows[("theorem3", "2", "1")][7] == "inconclusive"
+    assert rows[("theorem3", "2", "1")][8] == "2000"
 
 
 def test_sweep_expected_table(tmp_path, capsys):

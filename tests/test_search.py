@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from oddgraceful import graphs, search
 from oddgraceful import (Graph, SearchConfig, build_theorem1, build_theorem2,
                          build_theorem3, corona_pendants, cycle_graph,
-                         exhaustive_oracle, find_odd_graceful, path_graph,
-                         triangular_snake, verify_odd_graceful)
+                         exhaustive_oracle, find_odd_graceful, ladder,
+                         path_graph, triangular_snake, verify_odd_graceful)
 
 
 def corpus():
@@ -113,7 +113,7 @@ def test_time_budget_inconclusive():
     outcome = find_odd_graceful(g, SearchConfig(time_budget_ms=0))
     assert outcome.status == "inconclusive"
     assert outcome.reason == "time-budget"
-    assert outcome.stats.nodes_expanded % 4096 == 0
+    assert outcome.stats.nodes_expanded % 256 == 0
 
 
 def c4_plus_5k1():
@@ -138,18 +138,25 @@ PINNED_STATS = {
     "2K1": (two_k1, None, "none", None, 1, 1, 1, None),
     "2K1@0": (two_k1, 0, "inconclusive", "node-budget", 0, 0, 0, None),
     "C5": (lambda: cycle_graph(5), None, "none", None, 0, 0, 0, None),
-    "C6": (lambda: cycle_graph(6), None, "found", None, 36, 30, 6,
+    "C6": (lambda: cycle_graph(6), None, "found", None, 10, 4, 6,
            [0, 1, 4, 9, 2, 11]),
     "C7": (lambda: cycle_graph(7), None, "none", None, 0, 0, 0, None),
-    "C4+5K1": (c4_plus_5k1, None, "none", None, 1160, 1160, 8, None),
-    "t1(3,1)": (lambda: build_theorem1(3, 1), None, "found", None, 3026, 3014,
+    "C4+5K1": (c4_plus_5k1, None, "none", None, 144, 144, 8, None),
+    "t1(3,1)": (lambda: build_theorem1(3, 1), None, "found", None, 383, 371,
                 12, [1, 0, 3, 24, 5, 12, 22, 25, 16, 7, 20, 23]),
-    "t3(1,1)": (lambda: build_theorem3(1, 1), None, "found", None, 14886,
-                14874, 12, [0, 14, 1, 6, 3, 21, 23, 5, 22, 19, 20, 2]),
-    "t2(2,1)@2000": (lambda: build_theorem2(2, 1), 2000, "inconclusive",
-                     "node-budget", 2000, 1990, 15, None),
-    "C12@1000": (lambda: cycle_graph(12), 1000, "inconclusive", "node-budget",
-                 1000, 993, 11, None),
+    "t3(1,1)": (lambda: build_theorem3(1, 1), None, "found", None, 70, 58,
+                12, [0, 14, 1, 6, 3, 21, 23, 5, 22, 19, 20, 2]),
+    "t2(2,1)": (lambda: build_theorem2(2, 1), None, "found", None, 196, 180,
+                16, [0, 1, 6, 10, 29, 2, 3, 23, 31, 30, 19, 21, 4, 25, 12, 8]),
+    "C12": (lambda: cycle_graph(12), None, "found", None, 226, 214, 12,
+            [0, 1, 4, 9, 20, 7, 22, 3, 10, 19, 2, 23]),
+    "t2(2,2)": (lambda: build_theorem2(2, 2), None, "found", None, 9809,
+                9785, 24, [0, 1, 8, 14, 45, 2, 3, 35, 5, 47, 10, 46, 29, 43,
+                           31, 33, 4, 20, 39, 41, 16, 18, 6, 12]),
+    "t3(2,1)@2000": (lambda: build_theorem3(2, 1), 2000, "inconclusive",
+                     "node-budget", 2000, 1985, 16, None),
+    "C12@100": (lambda: cycle_graph(12), 100, "inconclusive", "node-budget",
+                100, 90, 11, None),
 }
 
 
@@ -240,10 +247,12 @@ def test_odd_cycle_certified_before_any_search():
 
 
 def test_deep_search_memory_is_linear():
-    # t1(1000,10): p = 22,000, q = 22,998.  6,000 nodes place 6,000
-    # positions without a backtrack.  A kernel holding one 2q-bit mask per
-    # placed position would hold 6,000 * 46,000 bits, about 34 MB, here.
-    g = build_theorem1(1000, 10)
+    # the star K(1,22000): p = 22,001, q = 22,000.  The cut never fires,
+    # since the center keeps 0 open and 2q-1 stays free, so 6,000 nodes
+    # place 6,000 positions without a backtrack.  A kernel holding one 2q-bit
+    # mask per placed position would hold 6,000 * 44,000 bits, about 33 MB,
+    # here.
+    g = corona_pendants(path_graph(1), 22_000)
     g.adjacency()
     tracemalloc.start()
     try:
@@ -293,11 +302,40 @@ def test_engine_agrees_with_oracle_on_random_graphs(g):
 #
 # _reference_dfs is the scan kernel the bitset kernel replaced: it tries
 # every value of the forced parity in ascending order and checks each placed
-# neighbor.  On bipartite graphs the bitset kernel must place the same
-# values in the same order, so every statistic agrees.
+# neighbor.  Without cut it is the cut-less oracle.  With cut=True it also
+# applies the kernel's two prunings: the cut after each placement,
+# recomputed from scratch by _largest_missing_label_fits, and the twin
+# order, each position starting above the label of the latest earlier
+# position with the same neighbor set (_previous_twins); on bipartite graphs
+# the bitset kernel must then place the same values in the same order, so
+# every statistic agrees.
 
 
-def _reference_dfs(p, q, first_cap, earlier, node_budget):
+def _largest_missing_label_fits(labels, placed, earlier, used_v, used_e,
+                                max_label):
+    """Whether the largest odd edge label no placed edge has yet is the
+    difference of two values that are unused or held by a placed position
+    with an unplaced neighbor (True when every edge label is used)."""
+    missing = [d for d in range(1, max_label + 1, 2) if not used_e >> d & 1]
+    if not missing:
+        return True
+    avail = {x for x in range(max_label + 1) if not used_v >> x & 1}
+    avail |= {labels[j] for k in range(placed, len(earlier))
+              for j in earlier[k] if j < placed}
+    return any(x + missing[-1] in avail for x in avail)
+
+
+def _previous_twins(g, order):
+    nbrs = [set() for _ in range(g.p)]
+    for a, b in g.edges:
+        nbrs[a].add(b)
+        nbrs[b].add(a)
+    return [max((e for e in range(d) if nbrs[order[e]] == nbrs[order[d]]),
+                default=-1) for d in range(g.p)]
+
+
+def _reference_dfs(p, q, first_cap, earlier, node_budget, cut=False,
+                   twins=None):
     max_label = 2 * q - 1
     labels = [0] * p
     last = [-1] * p
@@ -355,8 +393,12 @@ def _reference_dfs(p, q, first_cap, earlier, node_budget):
             if pos == p:
                 return ("found", None, list(labels), nodes, backtracks,
                         max_depth)
-            last[pos] = -1
-            continue
+            if not cut or _largest_missing_label_fits(
+                    labels, pos, earlier, used_v, used_e, max_label):
+                last[pos] = -1
+                if cut and twins[pos] >= 0:
+                    last[pos] = labels[twins[pos]]
+                continue
 
         pos -= 1
         if pos < 0:
@@ -371,24 +413,45 @@ def _reference_dfs(p, q, first_cap, earlier, node_budget):
         backtracks += 1
 
 
-def assert_matches_reference(g, node_budget):
-    # the placement order: BFS from a maximum-degree vertex, smallest id first
+def run_reference(g, node_budget, cut):
+    """_reference_dfs on g in the kernel's placement order (BFS from a
+    maximum-degree vertex, smallest id first), with the labeling mapped back
+    to vertex ids."""
     order, _, components = graphs._walk(
         g, sorted(range(g.p), key=lambda v: (-g.degree(v), v)))
     status, reason, by_pos, nodes, backtracks, depth = _reference_dfs(
         g.p, g.q, g.q - 1 if components == 1 else 2 * g.q - 1,
         search._earlier_neighbors(g, order),
-        -1 if node_budget is None else node_budget)
+        -1 if node_budget is None else node_budget, cut,
+        _previous_twins(g, order))
     labeling = None
     if by_pos is not None:
         labeling = [None] * g.p
         for v, x in zip(order, by_pos):
             labeling[v] = x
+    return status, reason, labeling, nodes, backtracks, depth
+
+
+def assert_matches_reference(g, node_budget):
+    status, reason, labeling, nodes, backtracks, depth = run_reference(
+        g, node_budget, cut=True)
     outcome = find_odd_graceful(g, SearchConfig(node_budget=node_budget))
     assert (outcome.status, outcome.reason, outcome.labeling) == (
         status, reason, labeling)
     assert (outcome.stats.nodes_expanded, outcome.stats.backtracks,
             outcome.stats.max_depth) == (nodes, backtracks, depth)
+
+
+def assert_cut_loses_nothing(g):
+    # the cut removes only subtrees without a solution and the twin order
+    # only labelings after the first, so wherever the cut-less scan decides,
+    # the kernel decides alike in no more nodes
+    status, _, labeling, nodes, _, _ = run_reference(g, 10 ** 5, cut=False)
+    if status == "inconclusive":
+        return
+    outcome = find_odd_graceful(g, SearchConfig(node_budget=nodes))
+    assert (outcome.status, outcome.labeling) == (status, labeling)
+    assert outcome.stats.nodes_expanded <= nodes
 
 
 @st.composite
@@ -409,8 +472,14 @@ def test_kernel_matches_reference_on_random_bipartite_graphs(g, budget):
     assert_matches_reference(g, budget)
 
 
-# the five capped search-audit instances, then two whose candidate masks
-# span several machine words (q = 48 and q = 162)
+@given(bipartite_graphs())
+@settings(max_examples=150, deadline=None)
+def test_cut_loses_nothing_on_random_bipartite_graphs(g):
+    assert_cut_loses_nothing(g)
+
+
+# the five closed-form failures of search-audit, then two whose candidate
+# masks span several machine words (q = 48 and q = 162)
 REFERENCE_CASES = {
     "t1(5,1)": (lambda: build_theorem1(5, 1), 10 ** 4),
     "t1(6,1)": (lambda: build_theorem1(6, 1), 10 ** 4),
@@ -426,3 +495,22 @@ REFERENCE_CASES = {
 def test_kernel_matches_reference_on_fixed_cases(name):
     make, budget = REFERENCE_CASES[name]
     assert_matches_reference(make(), budget)
+
+
+# graphs the cut-less scan decides within 10^5 nodes, C4+5K1 by exhaustion
+CUTLESS_CASES = {
+    "C8": lambda: cycle_graph(8),
+    "C10": lambda: cycle_graph(10),
+    "ladder(4)": lambda: ladder(4),
+    "ladder(5)": lambda: ladder(5),
+    "P8": lambda: path_graph(8),
+    "t1(2,2)": lambda: build_theorem1(2, 2),
+    "t1(3,1)": lambda: build_theorem1(3, 1),
+    "t3(1,1)": lambda: build_theorem3(1, 1),
+    "C4+5K1": c4_plus_5k1,
+}
+
+
+@pytest.mark.parametrize("name", list(CUTLESS_CASES))
+def test_cut_loses_nothing_on_fixed_cases(name):
+    assert_cut_loses_nothing(CUTLESS_CASES[name]())
