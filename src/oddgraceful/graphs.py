@@ -162,7 +162,6 @@ class Graph:
             raise ValueError(
                 "graph document needs 'vertices' and 'edges' arrays")
         tags = []
-        seen_tags = set()
         for i, entry in enumerate(vertices):
             if not isinstance(entry, dict):
                 raise ValueError(f"vertex entry {i} is not an object")
@@ -171,10 +170,8 @@ class Graph:
             text = entry.get("tag")
             if not isinstance(text, str) or not text:
                 raise ValueError(f"vertex {i} needs a non-empty string tag")
-            if text in seen_tags:
-                raise ValueError(f"duplicate vertex tag {text!r}")
-            seen_tags.add(text)
             tags.append(text)
+        _check_unique_tags(tags)
         pairs = []
         for e in edges:
             if not (isinstance(e, list) and len(e) == 2
@@ -192,6 +189,16 @@ class Graph:
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_unique_tags(tags: list) -> None:
+    """Raise ValueError naming the first tag, in id order, that repeats an
+    earlier one: no graph file may hold such a tag."""
+    seen = set()
+    for text in tags:
+        if text in seen:
+            raise ValueError(f"duplicate vertex tag {text!r}")
+        seen.add(text)
 
 
 def _sorted_edges(edges: list, p: int) -> list:
@@ -270,6 +277,7 @@ def cartesian_product(g1: Graph, g2: Graph) -> Graph:
     for a, b in g1.edges:
         for i2 in range(g2.p):
             edges.append((vid(a, i2), vid(b, i2)))
+    _check_unique_tags(tags)
     return Graph(tags, edges)
 
 
@@ -326,6 +334,7 @@ def subdivide(g: Graph) -> Graph:
         tags.append(f"s({g.tags[a]},{g.tags[b]})")
         edges.append((a, mid))
         edges.append((mid, b))
+    _check_unique_tags(tags)
     return Graph(tags, edges)
 
 

@@ -84,40 +84,27 @@ class SearchOutcome:
         return canonical_dumps(self.to_json_obj())
 
 
-def _earlier_neighbors(g: Graph, order):
-    """Per placement position, the ascending positions of its neighbors
-    placed before it."""
-    pos_of = {v: d for d, v in enumerate(order)}
+def _placement_tables(g: Graph, order):
+    """Per placement position, from one pass over the walk order: earlier,
+    the positions of its neighbors placed before it (in any order, which
+    the search does not depend on); closes, the positions whose last
+    neighbor in walk order is it (itself when no later position is
+    adjacent), whose labels can start no new edge once it is placed; twin,
+    the latest earlier position with the same neighbors, or -1."""
     adj = g.adjacency()
-    return [tuple(sorted(pos_of[nb] for nb in adj[v] if pos_of[nb] < d))
-            for d, v in enumerate(order)]
-
-
-def _previous_twins(g: Graph, order):
-    """Per placement position, the latest earlier position whose vertex
-    has the same neighbors, or -1."""
-    adj = g.adjacency()
-    latest = {}
-    twins = []
+    pos_of = [0] * len(order)
     for d, v in enumerate(order):
-        twins.append(latest.get(adj[v], -1))
+        pos_of[v] = d
+    earlier, twin = [], []
+    closes = [[] for _ in order]
+    latest = {}
+    for d, v in enumerate(order):
+        at = [pos_of[nb] for nb in adj[v]]
+        earlier.append(tuple(k for k in at if k < d))
+        closes[max([d, *at])].append(d)
+        twin.append(latest.get(adj[v], -1))
         latest[adj[v]] = d
-    return twins
-
-
-def _closing_positions(earlier):
-    """Per placement position k, the positions whose last neighbor in walk
-    order is k (k itself when no later position is adjacent to it): once k
-    is placed, their labels can start no new edge."""
-    p = len(earlier)
-    last_nbr = list(range(p))
-    for k, nbrs in enumerate(earlier):
-        for j in nbrs:
-            last_nbr[j] = k
-    closes = [[] for _ in range(p)]
-    for j, k in enumerate(last_nbr):
-        closes[k].append(j)
-    return closes
+    return earlier, closes, twin
 
 
 def find_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()
@@ -133,34 +120,35 @@ def find_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()
     bipartite.
 
     Otherwise a complete depth-first search over [0, max_label(q)] places
-    labels in walk order ("positions"); earlier[pos] holds the earlier
-    positions adjacent to pos.  Used vertex labels live in the bitset
-    used_v, used edge labels d in used_e (bit d) and in its mirror used_r
-    (bit top-d, where top = max_label(q)).  Each visit of a position
-    computes its candidates as one bitset: a placed neighbor labeled y rules
-    out y + d (used_e << y) and y - d (used_r >> (top-y)) for every used d.
-    The graph is bipartite and placed in walk order, so all placed
-    neighbors of a position share one parity: every value of the first
-    one's parity is ruled out, since edge labels are odd, and each pair of
-    them rules out the midpoint of their labels, where the two new edges
-    would share a label.  The first placed vertex of a connected graph is
-    capped at max_label(q) // 2 (the complement transform maps any solution
-    to one satisfying the cap, so no verdict is lost).  The lowest
-    candidate above the last value tried is placed, so values are tried in
-    ascending order.
+    labels in walk order ("positions"), with the tables earlier, closes and
+    twin that _placement_tables builds in one pass over the walk.  Used
+    vertex labels live in the bitset used_v, used edge labels d in used_e
+    (bit d) and in its mirror used_r (bit top-d, where top = max_label(q)).
+    Each visit of a position computes its candidates as one bitset: a placed
+    neighbor labeled y rules out y + d (used_e << y) and y - d
+    (used_r >> (top-y)) for every used d.  The graph is bipartite and placed
+    in walk order, so all placed neighbors of a position share one parity:
+    every value of the first one's parity is ruled out, since edge labels
+    are odd, and each pair of them rules out the midpoint of their labels,
+    where the two new edges would share a label.  The first placed vertex of a
+    connected graph is capped at max_label(q) // 2 (the complement transform
+    maps any solution to one satisfying the cap, so no verdict is lost).
+    The lowest candidate above the last value tried is placed, so values are
+    tried in ascending order.  With none left, the placement at pos - 1 is
+    undone.  One block flips the bits of a placement and of its undo: the
+    used bits a placement sets were clear (the masks keep each new edge
+    label odd and distinct) and the avail bits it clears were set.
 
-    After each placement the search is cut where the largest missing edge
-    label can no longer be made.  Let L be the largest odd label in
+    Each visit first checks the cut.  Let L be the largest odd label in
     [1, top] that no placed edge has, and avail the bitset of values that
-    are unused or held by a placed position with an unplaced neighbor.  If
-    no x has both x and x + L in avail, the placement is undone and the next
-    candidate tried.  This is sound: in any completion L is the label of an
-    edge with an unplaced end, and both its ends take values in avail.  So
-    the cut removes only subtrees without a solution, the search meets its
-    first solution in the same order and returns the same verdict and
-    labeling as without the cut, in no more nodes.  avail changes as
-    positions close: closes[k] lists the positions whose last neighbor in
-    walk order is k, computed once in O(p + q).
+    are unused or held by a placed position with an unplaced neighbor (the
+    labels of closes[pos] leave it once pos is placed).  If no x has both x
+    and x + L in avail, the position gets no candidate.  This is sound: in
+    any completion L is the label of an edge with an unplaced end, and both
+    its ends take values in avail.  So the cut removes only subtrees without
+    a solution, the search meets its first solution in the same order and
+    returns the same verdict and labeling as without the cut, in no more
+    nodes.  A visit after an undo re-checks a state that passed before.
 
     Twins, vertices with the same neighbors, can swap labels in any
     labeling.  So the first labeling in placement order gives them
@@ -190,9 +178,7 @@ def find_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()
         return SearchOutcome(
             "none", SearchStats(0, 0, int((perf_counter() - t0) * 1000), 0))
     order, _, components = walk
-    earlier = _earlier_neighbors(g, order)
-    closes = _closing_positions(earlier)
-    twin = _previous_twins(g, order)
+    earlier, closes, twin = _placement_tables(g, order)
     node_budget = cfg.node_budget
     deadline = (None if cfg.time_budget_ms is None
                 else t0 + cfg.time_budget_ms / 1000)
@@ -211,17 +197,22 @@ def find_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()
     pos = 0
 
     while True:
-        nbrs = earlier[pos]
-        forbid = used_v
-        if nbrs:
-            forbid |= same_parity[labels[nbrs[0]] & 1]
-        for i, j in enumerate(nbrs):
-            y = labels[j]
-            forbid |= used_e << y | used_r >> (top - y)
-            for k in nbrs[i + 1:]:
-                forbid |= 1 << ((y + labels[k]) >> 1)
-        start = last[pos] + 1
-        cand = ((first if pos == 0 else full) & ~forbid) >> start
+        # the cut: the largest missing edge label needs two values of avail
+        # that far apart; where none are, pos gets no candidate
+        missing = odds ^ used_e
+        cand = 0
+        if not missing or avail & avail >> (missing.bit_length() - 1):
+            nbrs = earlier[pos]
+            forbid = used_v
+            if nbrs:
+                forbid |= same_parity[labels[nbrs[0]] & 1]
+            for i, j in enumerate(nbrs):
+                y = labels[j]
+                forbid |= used_e << y | used_r >> (top - y)
+                for k in nbrs[i + 1:]:
+                    forbid |= 1 << ((y + labels[k]) >> 1)
+            start = last[pos] + 1
+            cand = ((first if pos == 0 else full) & ~forbid) >> start
 
         if cand:
             if node_budget is not None and nodes >= node_budget:
@@ -232,42 +223,23 @@ def find_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()
                 status, reason = "inconclusive", "time-budget"
                 break
             x = start + (cand & -cand).bit_length() - 1
-            labels[pos] = x
-            last[pos] = x
-            used_v |= 1 << x
-            for j in nbrs:
-                d = x - labels[j]
-                if d < 0:
-                    d = -d
-                used_e |= 1 << d
-                used_r |= 1 << (top - d)
-            for j in closes[pos]:
-                avail ^= 1 << labels[j]
+            labels[pos] = last[pos] = x
             nodes += 1
-            pos += 1
-            if pos > max_depth:
-                max_depth = pos
-            if pos == p:
-                status, reason = "found", None
+        else:
+            # no candidate left at pos: undo the previous placement
+            pos -= 1
+            if pos < 0:
+                status, reason = "none", None
                 break
-            # the cut: the largest missing edge label needs two values of
-            # avail that far apart; if none are, undo this placement
-            missing = odds ^ used_e
-            if not missing or avail & avail >> (missing.bit_length() - 1):
-                # values up to the label of an earlier twin count as tried
-                t = twin[pos]
-                last[pos] = -1 if t < 0 else labels[t]
-                continue
+            x = labels[pos]
+            nbrs = earlier[pos]
+            backtracks += 1
 
-        # no candidate left at pos, or the placement at pos - 1 was cut:
-        # undo the previous placement
-        pos -= 1
-        if pos < 0:
-            status, reason = "none", None
-            break
-        x = labels[pos]
+        # placing x at pos and undoing it flip the same bits: a placement
+        # sets used bits that were clear and clears the avail bits of the
+        # labels it closes
         used_v ^= 1 << x
-        for j in earlier[pos]:
+        for j in nbrs:
             d = x - labels[j]
             if d < 0:
                 d = -d
@@ -275,7 +247,17 @@ def find_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()
             used_r ^= 1 << (top - d)
         for j in closes[pos]:
             avail ^= 1 << labels[j]
-        backtracks += 1
+
+        if cand:
+            pos += 1
+            if pos > max_depth:
+                max_depth = pos
+            if pos == p:
+                status, reason = "found", None
+                break
+            # values up to the label of an earlier twin count as tried
+            t = twin[pos]
+            last[pos] = -1 if t < 0 else labels[t]
 
     stats = SearchStats(nodes, backtracks,
                         int((perf_counter() - t0) * 1000), max_depth)

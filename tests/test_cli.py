@@ -195,6 +195,17 @@ def test_other_size_flag_exits_2(tmp_path, capsys, argv):
     assert "not --" in err and not out.exists()
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("gen", "--family", "ladder", "--m", "1"), "--n"),
+    (("label", "--theorem", "3", "--m", "1"), "--k"),
+])
+def test_missing_size_flag_exits_2(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out.json"
+    code, stdout, err = run(capsys, *argv, "--out", str(out))
+    assert_one_error_line(code, stdout, err)
+    assert f"needs {flag}" in err and not out.exists()
+
+
 def write_graph(tmp_path, g, name="g.json"):
     path = tmp_path / name
     path.write_text(g.to_json())
@@ -411,6 +422,17 @@ def test_sweep_rejects_malformed_expected_row(tmp_path, capsys, row):
                             "--expected", str(table))
     assert_one_error_line(code, stdout, err)
     assert row in err and "mismatch" not in err and not out.exists()
+
+
+def test_sweep_rejects_expected_table_with_wrong_header(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    table = tmp_path / "expected.csv"
+    table.write_text("family,n,m,verdict\ntheorem1,2,1,pass\n")
+    code, stdout, err = run(capsys, "sweep", "--grid", "theorem1:n=2,m=1",
+                            "--search-policy", "never", "--out", str(out),
+                            "--expected", str(table))
+    assert_one_error_line(code, stdout, err)
+    assert "header" in err and not out.exists()
 
 
 def test_sweep_expected_table_accepts_partial_verdict(tmp_path, capsys):

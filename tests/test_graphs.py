@@ -57,6 +57,29 @@ def test_cartesian_product_rejects_empty():
         cartesian_product(Graph([], []), path_graph(2))
 
 
+def test_cycle_graph_rejects_fewer_than_3_vertices():
+    with pytest.raises(ValueError, match="n >= 3"):
+        cycle_graph(2)
+
+
+def test_corona_pendants_rejects_negative_count():
+    with pytest.raises(ValueError, match=">= 0"):
+        corona_pendants(path_graph(2), -1)
+
+
+# a constructor that derives tags must not build a graph whose file
+# Graph.from_json rejects for a repeated tag
+@pytest.mark.parametrize("build, tag", [
+    (lambda: subdivide(Graph(["a", "b", "s(a,b)"], [(0, 1)])), "s(a,b)"),
+    (lambda: cartesian_product(Graph(["a", "a,b"], []),
+                               Graph(["b,c", "c"], [])), "(a,b,c)"),
+], ids=["subdivide", "cartesian_product"])
+def test_derived_tags_must_be_unique(build, tag):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"duplicate vertex tag {tag!r}")):
+        build()
+
+
 def test_ladder_counts_and_tags():
     g = ladder(2)
     assert (g.p, g.q) == (4, 4)
@@ -479,11 +502,16 @@ def _family_k_float(doc):
     doc["family"]["k"] = 2.0
 
 
+def _family_not_object(doc):
+    doc["family"] = "ladder"
+
+
 # ways to break the ladder(2) graph document; each must be rejected
 MALFORMED_GRAPH_DOCS = [_vertex_not_object, _tag_not_string, _float_edge_id,
                         _bool_edge, _duplicate_tag, _empty_tag, _missing_tag,
                         _family_kind_not_string,
-                        _family_n_not_int, _family_m_bool, _family_k_float]
+                        _family_n_not_int, _family_m_bool, _family_k_float,
+                        _family_not_object]
 
 
 @pytest.mark.parametrize("break_doc", MALFORMED_GRAPH_DOCS)

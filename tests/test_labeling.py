@@ -146,6 +146,23 @@ def test_report_json_shape():
     assert obj["violations"][0]["edges"] == [["v1", "v2"], ["v2", "v3"]]
 
 
+# Violation.short renders the sweep CSV's first_violation cell; the tag
+# s(u1,u2) pins the rewrite of each comma to '.'.
+@pytest.mark.parametrize("labels, kind, cell", [
+    ([None, 0, 3], MISSING_VERTEX_LABEL, "MissingVertexLabel(s(u1.u2))"),
+    ([9, 0, 3], VERTEX_LABEL_OUT_OF_RANGE,
+     "VertexLabelOutOfRange(s(u1.u2)=9)"),
+    ([1, 0, 1], DUPLICATE_VERTEX_LABEL, "DuplicateVertexLabel(s(u1.u2) w 1)"),
+    ([2, 0, 3], EDGE_LABEL_EVEN, "EdgeLabelEven(s(u1.u2)-v=2)"),
+    ([1, 0, 1], DUPLICATE_EDGE_LABEL, "DuplicateEdgeLabel(1)"),
+    ([1, 0, 1], MISSING_ODD_EDGE_LABEL, "MissingOddEdgeLabel(3)"),
+])
+def test_violation_short_renders_each_kind(labels, kind, cell):
+    g = Graph(["s(u1,u2)", "v", "w"], [(0, 1), (1, 2)])
+    report = verify_odd_graceful(g, labels)
+    assert [v.short(g) for v in report.violations if v.kind == kind] == [cell]
+
+
 def test_labeling_json_round_trip_with_missing_labels():
     g = path_graph(3)
     labels = [4, None, 1]

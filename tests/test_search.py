@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddgraceful import graphs, search
+from oddgraceful import graphs
 from oddgraceful import (Graph, SearchConfig, build_theorem1, build_theorem2,
                          build_theorem3, corona_pendants, cycle_graph,
                          exhaustive_oracle, find_odd_graceful, ladder,
@@ -200,6 +200,8 @@ def test_single_vertex_and_empty():
     assert exhaustive_oracle(path_graph(1)).status == "found"
     with pytest.raises(ValueError):
         find_odd_graceful(Graph([], []))
+    with pytest.raises(ValueError):
+        exhaustive_oracle(Graph([], []))
     assert find_odd_graceful(two_k1()).status == "none"
     assert exhaustive_oracle(two_k1()).status == "none"
 
@@ -302,7 +304,10 @@ def test_engine_agrees_with_oracle_on_random_graphs(g):
 #
 # _reference_dfs is the scan kernel the bitset kernel replaced: it tries
 # every value of the forced parity in ascending order and checks each placed
-# neighbor.  Without cut it is the cut-less oracle.  With cut=True it also
+# neighbor.  It takes its placement order from graphs._walk, as the kernel
+# does, but computes the earlier neighbors of each position itself, from the
+# edge list (_earlier_positions), so a fault in the kernel's tables shows.
+# Without cut it is the cut-less oracle.  With cut=True it also
 # applies the kernel's two prunings: the cut after each placement,
 # recomputed from scratch by _largest_missing_label_fits, and the twin
 # order, each position starting above the label of the latest earlier
@@ -323,6 +328,15 @@ def _largest_missing_label_fits(labels, placed, earlier, used_v, used_e,
     avail |= {labels[j] for k in range(placed, len(earlier))
               for j in earlier[k] if j < placed}
     return any(x + missing[-1] in avail for x in avail)
+
+
+def _earlier_positions(g, order):
+    pos_of = {v: d for d, v in enumerate(order)}
+    earlier = [set() for _ in range(g.p)]
+    for a, b in g.edges:
+        lo, hi = sorted((pos_of[a], pos_of[b]))
+        earlier[hi].add(lo)
+    return [sorted(e) for e in earlier]
 
 
 def _previous_twins(g, order):
@@ -421,7 +435,7 @@ def run_reference(g, node_budget, cut):
         g, sorted(range(g.p), key=lambda v: (-g.degree(v), v)))
     status, reason, by_pos, nodes, backtracks, depth = _reference_dfs(
         g.p, g.q, g.q - 1 if components == 1 else 2 * g.q - 1,
-        search._earlier_neighbors(g, order),
+        _earlier_positions(g, order),
         -1 if node_budget is None else node_budget, cut,
         _previous_twins(g, order))
     labeling = None
