@@ -27,18 +27,16 @@ labeling is a list indexed by those ids; an uncovered vertex keeps None.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, count, islice
 from operator import ne
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .canon import canonical_dumps
 from .graphs import IdOrder, check_theorem_domain, theorem_q
 from .labeling import Labeling
 
 
-@dataclass(frozen=True)
-class FormulaInterpretation:
+class FormulaInterpretation(NamedTuple):
     """Ledger attached to a labeler output: which reading was applied per
     ambiguous formula, and which vertices the declared ranges never cover."""
 

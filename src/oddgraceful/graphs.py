@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain, repeat, starmap
 from operator import eq, itemgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .canon import canonical_dumps, sha256_hex
 
@@ -39,17 +39,14 @@ def pendant(parent: str, j: int) -> str:
     return _PENDANT_HEAD + parent + _PENDANT_TAIL(j)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(namedtuple("Family", "kind n k m", defaults=(None,) * 3)):
     """Construction parameters attached to a generated graph instance: a
     string kind, and n, k and m each None or an int (bools are rejected)."""
 
-    kind: str
-    n: Optional[int] = None
-    k: Optional[int] = None
-    m: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *fields, **named):
+        self = super().__new__(cls, *fields, **named)
         if not isinstance(self.kind, str):
             raise ValueError("family object needs a string 'kind' field")
         for name in ("n", "k", "m"):
@@ -57,6 +54,11 @@ class Family:
             if value is not None and not _is_int(value):
                 raise ValueError(
                     f"family field {name!r} must be an int or null")
+        return self
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)  # so that _replace checks its fields too
 
     def to_json_obj(self) -> dict:
         obj = {"kind": self.kind, "n": self.n, "k": self.k, "m": self.m}
@@ -356,8 +358,7 @@ def triangular_snake(k: int) -> Graph:
 # -- the three pendant families --------------------------------------------
 
 
-@dataclass(frozen=True)
-class TheoremFamily:
+class TheoremFamily(NamedTuple):
     """The graph family of one theorem, as data.
 
     kind names the family in graph files, and its size parameter param (n

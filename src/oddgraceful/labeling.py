@@ -19,7 +19,6 @@ labeling whose length is not the vertex count raises ValueError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import compress
 from operator import not_
 from typing import List, NamedTuple, Optional, Tuple
@@ -96,11 +95,10 @@ class Violation(NamedTuple):
         return f"{self.kind}({self.label})"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     ok: bool
     q: int
-    violations: Tuple[Violation, ...] = field(default_factory=tuple)
+    violations: Tuple[Violation, ...] = ()
 
     def to_json_obj(self, g: Graph) -> dict:
         return {

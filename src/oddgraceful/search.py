@@ -13,9 +13,9 @@ closed-form labelers.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from time import perf_counter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .canon import canonical_dumps
 from .graphs import Graph, _walk
@@ -27,8 +27,8 @@ def engine_name() -> str:
     return "pure-python"
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(namedtuple("SearchConfig", "node_budget time_budget_ms",
+                              defaults=(None, None))):
     """Budgets for find_odd_graceful: None means unlimited, anything but
     None or an int >= 0 is rejected.  Both are checked just before a
     placement, on a clock that starts at the call: the node budget before
@@ -36,26 +36,29 @@ class SearchConfig:
     included, so a budget of 0 of either kind stops before the first
     placement."""
 
-    node_budget: Optional[int] = None
-    time_budget_ms: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *fields, **named):
+        self = super().__new__(cls, *fields, **named)
         for name in ("node_budget", "time_budget_ms"):
             value = getattr(self, name)
             if value is not None and (type(value) is not int or value < 0):
                 raise ValueError(f"{name} must be an int >= 0, got {value!r}")
+        return self
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)  # so that _replace checks its fields too
 
 
-@dataclass(frozen=True)
-class SearchStats:
+class SearchStats(NamedTuple):
     nodes_expanded: int
     backtracks: int
     elapsed_ms: int
     max_depth: int
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(NamedTuple):
     """Result of a search: found / none / inconclusive plus statistics.
 
     status "none" is emitted only when the search tree was fully explored;

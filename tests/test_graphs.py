@@ -526,8 +526,9 @@ def test_graph_loader_rejects_malformed_document(break_doc):
 @pytest.mark.parametrize("fields, message", [
     ({"kind": "x", "n": True}, "family field 'n' must be an int or null"),
     ({"kind": "x", "k": 2.0}, "family field 'k' must be an int or null"),
+    ({"kind": "x", "m": "1"}, "family field 'm' must be an int or null"),
     ({"kind": 3}, "family object needs a string 'kind' field"),
-], ids=["n-bool", "k-float", "kind-int"])
+], ids=["n-bool", "k-float", "m-str", "kind-int"])
 def test_family_constructor_rejects_what_the_loader_rejects(fields, message):
     # otherwise a graph carrying such a family writes a file that
     # Graph.from_json cannot read back
@@ -535,6 +536,8 @@ def test_family_constructor_rejects_what_the_loader_rejects(fields, message):
         Family(**fields)
     with pytest.raises(ValueError, match=re.escape(message)):
         Family.from_json_obj(fields)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        Family("ladder")._replace(**fields)
 
 
 @st.composite

@@ -1,11 +1,14 @@
 """Every name a package module imports is used in that module, every
 private module-level name is used somewhere in the package, the package
-imports only the standard library, and the README's library example and
-command-line block run."""
+imports only the standard library and none of its slow-to-import modules
+that it does not need, and the README's library example and command-line
+block run."""
 
 import ast
+import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 
@@ -100,6 +103,18 @@ def test_non_stdlib_imports_are_detected():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_package_imports_only_the_standard_library(path):
     assert non_stdlib_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_import_loads_neither_dataclasses_nor_inspect():
+    # importing dataclasses pulls in inspect, ast and dis, which cost a
+    # process that runs one command several milliseconds to start
+    src = str(Path(cli.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, oddgraceful, oddgraceful.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def test_readme_library_example_runs():

@@ -221,6 +221,8 @@ def test_negative_budgets_rejected():
         SearchConfig(node_budget=-5)
     with pytest.raises(ValueError):
         SearchConfig(time_budget_ms=-1)
+    with pytest.raises(ValueError, match="time_budget_ms"):
+        SearchConfig(None, -1)  # positional fields are checked too
 
 
 @pytest.mark.parametrize("value", [True, False, 2.5, 10.0, "10"])
@@ -228,6 +230,8 @@ def test_negative_budgets_rejected():
 def test_non_int_budgets_rejected(name, value):
     with pytest.raises(ValueError, match=name):
         SearchConfig(**{name: value})
+    with pytest.raises(ValueError, match=name):
+        SearchConfig()._replace(**{name: value})
 
 
 def test_zero_time_budget_stops_before_the_first_placement():
