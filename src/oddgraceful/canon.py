@@ -1,6 +1,5 @@
 """Canonical JSON serialization and fingerprints shared by the file formats."""
 
-import hashlib
 import json
 
 
@@ -11,4 +10,5 @@ def canonical_dumps(obj) -> str:
 
 
 def sha256_hex(text: str) -> str:
+    import hashlib  # loaded here: about 2 ms, and only fingerprints need it
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -3,7 +3,7 @@
 Vertices carry plain string tags naming symbol class and index (u3, w1), so
 that label formulas stated per class and index can be applied without
 guessing which vertex is which.  Pendant j of the vertex tagged x is tagged
-p(x,j) (pendant() is the only tag helper); untyped constructions use
+p(x,j) (pendant() formats one such tag); untyped constructions use
 free-form tags such as s(u1,u2).  Graphs are immutable once built, and
 identical parameters always produce identical vertex orderings and edge
 sets.
@@ -15,7 +15,9 @@ classes in table order, each by index, then the pendants grouped by parent
 (parents in id order, pendant index ascending).  IdOrder is the one place
 that turns a class and index into an id; the closed-form labelers in
 formulas.py take their ids from it, so they agree with the builders by
-construction.
+construction.  IdOrder also holds the tag rule, in both forms: tag(v)
+formats one tag and tags() all of them, so a theorem graph keeps its IdOrder
+and formats its tags only when they are read.
 """
 
 from __future__ import annotations
@@ -25,12 +27,13 @@ import re
 from collections import namedtuple
 from itertools import chain, repeat, starmap
 from operator import eq, itemgetter
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .canon import canonical_dumps, sha256_hex
 
 _PENDANT_RE = re.compile(r"^p\((.+),([1-9][0-9]*)\)$")
-# pendant tag = head + parent tag + index tail, also joined by _append_pendants
+# pendant tag = head + parent tag + index tail, also joined in bulk by
+# IdOrder.tags and corona_pendants
 _PENDANT_HEAD, _PENDANT_TAIL = "p(", ",{})".format
 
 
@@ -83,20 +86,38 @@ class Graph:
     offending edge in input order.  The checks run as whole-list passes, so
     construction costs a few C-level scans and one sort of the edge list.
     The adjacency is computed on first use and kept.
+
+    tags is a sequence of strings, or the IdOrder of a theorem graph, which
+    then formats its tags on first read of `tags` and keeps them; tag(v)
+    reads one tag without formatting the others.
     """
 
-    __slots__ = ("tags", "edges", "family", "_adj")
+    __slots__ = ("p", "edges", "family", "_tags", "_order", "_adj")
 
-    def __init__(self, tags: Sequence[str], edges: Iterable[tuple],
-                 family: Optional[Family] = None):
-        self.tags = tuple(tags)
-        self.edges = tuple(_sorted_edges(list(edges), len(self.tags)))
+    def __init__(self, tags: Union[Sequence[str], IdOrder],
+                 edges: Iterable[tuple], family: Optional[Family] = None):
+        if isinstance(tags, IdOrder):
+            self._order, self._tags, self.p = tags, None, tags.p
+        else:
+            self._order, self._tags = None, tuple(tags)
+            self.p = len(self._tags)
+        self.edges = tuple(_sorted_edges(list(edges), self.p))
         self.family = family
         self._adj = None
 
     @property
-    def p(self) -> int:
-        return len(self.tags)
+    def tags(self) -> tuple:
+        """Every vertex tag, in id order."""
+        if self._tags is None:
+            self._tags = self._order.tags()
+        return self._tags
+
+    def tag(self, v: int) -> str:
+        """The tag of vertex v; IndexError unless 0 <= v < p."""
+        if self._tags is None:
+            return self._order.tag(v)
+        _check_id(v, self.p)
+        return self._tags[v]
 
     @property
     def q(self) -> int:
@@ -191,6 +212,11 @@ class Graph:
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _check_id(v: int, p: int) -> None:
+    if not 0 <= v < p:
+        raise IndexError(f"vertex id {v} is not in 0..{p - 1}")
 
 
 def _check_unique_tags(tags: list) -> None:
@@ -291,35 +317,35 @@ def ladder(n: int) -> Graph:
     return _build(1, n, 0)
 
 
-def _append_pendants(tags: list, edges: list, m: int) -> None:
-    """Append m pendant vertices and edges to every vertex in tags, grouped
-    by parent in parent id order, so the j-th new pendant of vertex x gets
-    id p + x*m + j - 1 and is numbered after x's existing pendants.  Tags join
-    each parent's head to tails formatted once; edges zip each parent id,
-    repeated m times, with the new id range."""
-    taken = {}  # parent tag -> highest pendant index in tags
-    for match in filter(None, map(_PENDANT_RE.match, tags)):
-        parent, j = match.group(1), int(match.group(2))
-        taken[parent] = max(taken.get(parent, 0), j)
-    p = len(tags)
-    start = list(map(taken.get, tags, repeat(0)))
-    tails = list(map(_PENDANT_TAIL, range(1, max(start, default=0) + m + 1)))
-    heads = map(_PENDANT_HEAD.__add__, tags)
-    tags += [h + t for h, s in zip(heads, start) for t in tails[s:s + m]]
-    edges += zip(chain.from_iterable(map(repeat, range(p), repeat(m))),
-                 range(p, p + p * m))
+def _pendant_edges(p: int, m: int):
+    """The edges from m new pendants on every vertex 0..p-1, grouped by
+    parent in parent id order, so the j-th new pendant of vertex x gets id
+    p + x*m + j - 1: each parent id, repeated m times, zipped with the new
+    id range."""
+    return zip(chain.from_iterable(map(repeat, range(p), repeat(m))),
+               range(p, p + p * m))
 
 
 def corona_pendants(g: Graph, m: int) -> Graph:
     """Attach m new degree-1 vertices to every vertex of g.
 
-    Pendants are appended after the original vertices (see
-    _append_pendants).  With m = 0 the result equals g, family included.
+    Pendants are appended after the original vertices (see _pendant_edges)
+    and numbered after each parent's existing pendants: a vertex that
+    already has p(x,1) gets p(x,2) next.  Tags join each parent's head to
+    tails formatted once.  With m = 0 the result equals g, family included.
     """
     if m < 0:
         raise ValueError("pendant count must be >= 0")
     tags, edges = list(g.tags), list(g.edges)
-    _append_pendants(tags, edges, m)
+    taken = {}  # parent tag -> highest pendant index in tags
+    for match in filter(None, map(_PENDANT_RE.match, tags)):
+        parent, j = match.group(1), int(match.group(2))
+        taken[parent] = max(taken.get(parent, 0), j)
+    start = list(map(taken.get, tags, repeat(0)))
+    tails = list(map(_PENDANT_TAIL, range(1, max(start, default=0) + m + 1)))
+    heads = map(_PENDANT_HEAD.__add__, tags)
+    tags += [h + t for h, s in zip(heads, start) for t in tails[s:s + m]]
+    edges += _pendant_edges(g.p, m)
     return Graph(tags, edges, g.family if m == 0 else None)
 
 
@@ -444,7 +470,7 @@ class IdOrder:
     vertices and edges are the family's classes at size a.  The vertex
     classes come in table order, each indexed from 1, so c_i has id
     first[c] + i; then come the pendants, grouped by parent, so pendant j of
-    the vertex with id x has id p0 + x*m + j - 1 (as _append_pendants
+    the vertex with id x has id p0 + x*m + j - 1 (as _pendant_edges
     numbers them).  p is the vertex count.
     """
 
@@ -468,7 +494,8 @@ class IdOrder:
         return range(first, first + len(indices) * step, step)
 
     def tag(self, v: int) -> str:
-        """The tag of the vertex with id v."""
+        """The tag of the vertex with id v; IndexError unless 0 <= v < p."""
+        _check_id(v, self.p)
         if v >= self.p0:
             parent, j = divmod(v - self.p0, self.m)
             return pendant(self.tag(parent), j + 1)
@@ -476,19 +503,28 @@ class IdOrder:
             if first < v:
                 return f"{letter}{v - first}"
 
+    def tags(self) -> tuple:
+        """Every tag in id order, as tag(v) formats each: the class tags,
+        then each one's pendants p(x,1)..p(x,m).  No class tag is a pendant
+        tag, so every pendant index starts at 1."""
+        base = [f"{letter}{i}" for letter, count in self.vertices
+                for i in range(1, count + 1)]
+        tails = list(map(_PENDANT_TAIL, range(1, self.m + 1)))
+        heads = map(_PENDANT_HEAD.__add__, base)
+        return tuple(base + [h + t for h in heads for t in tails])
+
 
 def _build(number: int, a: int, m: int) -> Graph:
     """Theorem `number`'s graph at size a with m pendants per vertex, read
-    off its family table; no domain check."""
+    off its family table; no domain check.  The graph keeps the IdOrder in
+    place of its tags."""
     order = IdOrder(number, a, m)
-    tags = [f"{letter}{i}" for letter, count in order.vertices
-            for i in range(1, count + 1)]
     edges = []
     for x, xs, y, ys in order.edges:
         edges += zip(order.ids(x, xs), order.ids(y, ys))
-    _append_pendants(tags, edges, m)
+    edges += _pendant_edges(order.p0, m)
     family = THEOREM_FAMILIES[number]
-    return Graph(tags, edges, Family(family.kind, **{family.param: a}, m=m))
+    return Graph(order, edges, Family(family.kind, **{family.param: a}, m=m))
 
 
 def build_theorem1(n: int, m: int) -> Graph:

@@ -67,9 +67,9 @@ class Violation(NamedTuple):
     def to_json_obj(self, g: Graph) -> dict:
         return {
             "kind": self.kind,
-            "vertices": [g.tags[v] for v in self.vertex_ids],
+            "vertices": [g.tag(v) for v in self.vertex_ids],
             "vertex_ids": list(self.vertex_ids),
-            "edges": [[g.tags[a], g.tags[b]] for a, b in self.edge_ids],
+            "edges": [[g.tag(a), g.tag(b)] for a, b in self.edge_ids],
             "edge_ids": [[a, b] for a, b in self.edge_ids],
             "label": self.label,
         }
@@ -80,7 +80,7 @@ class Violation(NamedTuple):
         Commas in tags are replaced by '.' so the cell never needs quoting.
         """
         def tag(v):
-            return g.tags[v].replace(",", ".")
+            return g.tag(v).replace(",", ".")
 
         if self.kind == MISSING_VERTEX_LABEL:
             return f"{self.kind}({tag(self.vertex_ids[0])})"

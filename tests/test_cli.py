@@ -13,6 +13,7 @@ from oddgraceful import (Graph, build_theorem1, cycle_graph, ladder,
                          labeling_to_json)
 from oddgraceful import cli
 from oddgraceful.cli import FAMILIES, main, parse_grid
+from oddgraceful.graphs import IdOrder
 
 from test_graphs import MALFORMED_GRAPH_DOCS
 
@@ -335,6 +336,28 @@ def test_sweep_builds_each_graph_once(monkeypatch):
     rows = cli.build_sweep_rows(grid, "never", 0)
     assert len(calls) == len(rows) == len(grid)
     assert len(set(calls)) == len(calls)
+
+
+def test_never_sweep_formats_no_tags_in_bulk(tmp_path, monkeypatch):
+    # a sweep reads at most the two tags of a DuplicateVertexLabel cell, so
+    # it formats them one at a time; gen writes every tag, formatted once
+    calls = []
+    bulk = IdOrder.tags
+
+    def counted(order):
+        calls.append(order)
+        return bulk(order)
+
+    monkeypatch.setattr(IdOrder, "tags", counted)
+    grid = parse_grid("theorem1:n=2..4,m=1..2;theorem2:n=2..3,m=1;"
+                      "theorem3:k=1..3,m=1..2")
+    rows = cli.build_sweep_rows(grid, "never", 0)
+    assert any(r["first_violation"].startswith("DuplicateVertexLabel(")
+               for r in rows)
+    assert calls == []
+    assert main(["gen", "--family", "ladder", "--n", "3", "--m", "2",
+                 "--out", str(tmp_path / "g.json")]) == 0
+    assert len(calls) == 1
 
 
 def test_sweep_rows_are_keyed_by_the_csv_columns():

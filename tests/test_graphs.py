@@ -15,8 +15,8 @@ from oddgraceful import (Family, Graph, build_theorem1, build_theorem2,
                          subdivide, triangular_snake, two_coloring)
 from oddgraceful.canon import canonical_dumps
 from oddgraceful.cli import parse_grid
-from oddgraceful.graphs import (MAX_THEOREM_Q, check_theorem_domain,
-                                theorem_q)
+from oddgraceful.graphs import (MAX_THEOREM_Q, IdOrder,
+                                check_theorem_domain, theorem_q)
 
 
 def test_path_graph_counts():
@@ -307,11 +307,39 @@ AUDIT_GRID_GRAPHS_SHA256 = (
 
 
 def test_builders_match_golden_graph_digest():
+    # a built graph formats its tags one at a time through tag(v) and all
+    # at once on the first read of tags; each fresh graph reads them one at
+    # a time first, so both forms are checked against the digest
     builders = {1: build_theorem1, 2: build_theorem2, 3: build_theorem3}
     digest = hashlib.sha256()
     for number, a, m in sorted(set(parse_grid(AUDIT_GRID))):
-        digest.update(builders[number](a, m).to_json().encode("utf-8"))
+        g = builders[number](a, m)
+        one_by_one = tuple(map(g.tag, range(g.p)))
+        assert g.tags == one_by_one
+        digest.update(g.to_json().encode("utf-8"))
     assert digest.hexdigest() == AUDIT_GRID_GRAPHS_SHA256
+    for n in (2, 3, 7):  # m = 0: no pendants
+        g = ladder(n)
+        one_by_one = tuple(map(g.tag, range(g.p)))
+        assert g.tags == one_by_one == tuple(
+            [f"u{i}" for i in range(1, n + 1)]
+            + [f"v{i}" for i in range(1, n + 1)])
+
+
+def test_tag_rejects_ids_outside_the_graph():
+    # a built graph formats tags from its IdOrder until tags is first read;
+    # a graph read from a file holds them in a tuple, where -1 would index
+    eager = Graph.from_json(build_theorem1(3, 1).to_json())
+    for g in (build_theorem1(3, 1), ladder(3), eager, path_graph(2)):
+        for v in (g.p, g.p + 1, -1, -g.p):
+            with pytest.raises(IndexError):
+                g.tag(v)
+        assert tuple(map(g.tag, range(g.p))) == g.tags
+    order = IdOrder(1, 3, 1)  # p = 12
+    assert order.tag(11) == "p(v3,1)"
+    for v in (12, -1):
+        with pytest.raises(IndexError):
+            order.tag(v)
 
 
 def test_construction_determinism():

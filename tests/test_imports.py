@@ -105,13 +105,14 @@ def test_package_imports_only_the_standard_library(path):
     assert non_stdlib_imports(path.read_text(encoding="utf-8")) == []
 
 
-def test_import_loads_neither_dataclasses_nor_inspect():
-    # importing dataclasses pulls in inspect, ast and dis, which cost a
-    # process that runs one command several milliseconds to start
+def test_import_loads_no_dataclasses_inspect_or_hashlib():
+    # importing dataclasses pulls in inspect, ast and dis, and hashlib loads
+    # OpenSSL, which cost a process that runs one command several
+    # milliseconds to start; only fingerprints import hashlib, when called
     src = str(Path(cli.__file__).parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    code = ("import sys, oddgraceful, oddgraceful.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    code = ("import sys, oddgraceful, oddgraceful.cli; print(sorted("
+            "{'dataclasses', 'inspect', 'hashlib'} & set(sys.modules)))")
     done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
