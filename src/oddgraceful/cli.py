@@ -20,7 +20,7 @@ import sys
 
 from .formulas import label_theorem1, label_theorem2, label_theorem3
 from .graphs import (THEOREM_FAMILIES, Graph, build_theorem1, build_theorem2,
-                     build_theorem3, check_theorem_domain)
+                     build_theorem3, theorem_order)
 from .labeling import (first_violation, labeling_from_json_obj,
                        labeling_to_json, verify_odd_graceful)
 from .search import SearchConfig, find_odd_graceful
@@ -172,8 +172,8 @@ def parse_grid(spec: str):
             if expected_param not in ranges or "m" not in ranges:
                 raise ValueError(f"needs {expected_param}= and m= ranges")
             for end in (0, -1):  # q grows with both parameters
-                check_theorem_domain(number, ranges[expected_param][end],
-                                     ranges["m"][end])
+                theorem_order(number, ranges[expected_param][end],
+                              ranges["m"][end])
         except ValueError as exc:
             raise ValueError(f"grid clause {clause!r}: {exc}") from None
         for a in ranges[expected_param]:

@@ -20,9 +20,9 @@ when it changes a label or labels a vertex the literal rows leave out (the
 text may name those indices as {i}).  Labelers never verify their own
 output, callers run verify_odd_graceful as a separate step.
 
-Labelers build no graph: q comes from each family's closed form and every
-vertex id from graphs.IdOrder, the canonical id order of the builders.  Each
-labeling is a list indexed by those ids; an uncovered vertex keeps None.
+Labelers build no graph: q and every vertex id come from the graphs.IdOrder
+that graphs.theorem_order checks, the canonical id order of the builders.
+Each labeling is a list indexed by those ids; an uncovered vertex keeps None.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from operator import ne
 from typing import NamedTuple, Tuple
 
 from .canon import canonical_dumps
-from .graphs import IdOrder, check_theorem_domain, theorem_q
+from .graphs import IdOrder, theorem_order
 from .labeling import Labeling
 
 
@@ -176,12 +176,12 @@ def _scheme3(k, m, q):
 SCHEMES = {1: _scheme1, 2: _scheme2, 3: _scheme3}
 
 
-def _row_slices(order: IdOrder, row, m: int):
+def _row_slices(order: IdOrder, row):
     """(ids, indices, labels) for each pendant index j of a row: ids a slice
     of the labeling, and labels the row's progression, from its formula
     evaluated at the first index and the one after it."""
     letter, pendant, indices, label = row
-    for j in range(1, m + 1) if pendant else (0,):
+    for j in range(1, order.m + 1) if pendant else (0,):
         ids = order.ids(letter, indices, j)
         first = label(indices.start, j)
         step = label(indices.start + indices.step, j) - first
@@ -193,17 +193,16 @@ def _label(number: int, a: int, m: int, apply_repairs: bool,
            ) -> Tuple[Labeling, FormulaInterpretation]:
     """Scheme `number`'s labeling at size a with m pendants per vertex, read
     off its table: the literal rows, then the repairs over them."""
-    check_theorem_domain(number, a, m)
-    order = IdOrder(number, a, m)
-    notes, rows, repairs = SCHEMES[number](a, m, theorem_q(number, a, m))
+    order = theorem_order(number, a, m)
+    notes, rows, repairs = SCHEMES[number](a, m, order.q)
     lab: Labeling = [None] * order.p
     for row in rows.values():
-        for ids, _, labels in _row_slices(order, row, m):
+        for ids, _, labels in _row_slices(order, row):
             lab[ids] = labels
     notes = list(notes)
     for (fid, text), row in repairs.values() if apply_repairs else ():
         changed = set()
-        for ids, indices, labels in _row_slices(order, row, m):
+        for ids, indices, labels in _row_slices(order, row):
             old = lab[ids]
             if old != labels:
                 changed.update(compress(indices, map(ne, old, labels)))

@@ -13,11 +13,12 @@ vertex classes and edge classes, and one interpreter builds every theorem
 graph from it.  The table also fixes the canonical vertex id order: the
 classes in table order, each by index, then the pendants grouped by parent
 (parents in id order, pendant index ascending).  IdOrder is the one place
-that turns a class and index into an id; the closed-form labelers in
-formulas.py take their ids from it, so they agree with the builders by
-construction.  IdOrder also holds the tag rule, in both forms: tag(v)
-formats one tag and tags() all of them, so a theorem graph keeps its IdOrder
-and formats its tags only when they are read.
+that turns a class and index into an id, and it counts the edges q from the
+table; the closed-form labelers in formulas.py take both from the IdOrder
+that theorem_order checks, so they agree with the builders by construction.
+IdOrder also holds the tag rule, in both forms: tag(v) formats one tag and
+tags() all of them, so a theorem graph keeps its IdOrder and formats its
+tags only when they are read.
 """
 
 from __future__ import annotations
@@ -314,7 +315,7 @@ def ladder(n: int) -> Graph:
     theorem-1 family without pendants."""
     if n < 2:
         raise ValueError("ladder needs n >= 2")
-    return _build(1, n, 0)
+    return _build(IdOrder(1, n, 0))
 
 
 def _pendant_edges(p: int, m: int):
@@ -438,31 +439,6 @@ THEOREM_FAMILIES = {
 MAX_THEOREM_Q = 1_000_000
 
 
-def theorem_q(number: int, a: int, m: int) -> int:
-    """Edge count of theorem `number`'s graph at size a (n or k) with m
-    pendants per vertex, the paper's closed form."""
-    if number == 1:
-        return 2 * m * a + 3 * a - 2
-    if number == 2:
-        return m * (5 * a - 2) + 2 * (3 * a - 2)
-    return (5 * m + 6) * a + m
-
-
-def check_theorem_domain(number: int, a: int, m: int) -> None:
-    """Raise ValueError unless theorem `number` is defined at size a and m
-    pendants per vertex, with at most MAX_THEOREM_Q edges."""
-    family = THEOREM_FAMILIES[number]
-    param, least = family.param, family.least
-    if a < least:
-        raise ValueError(f"theorem{number} needs {param} >= {least}")
-    if m < 1:
-        raise ValueError(f"theorem{number} needs m >= 1")
-    q = theorem_q(number, a, m)
-    if q > MAX_THEOREM_Q:
-        raise ValueError(f"theorem{number} at {param}={a}, m={m} has "
-                         f"q={q} edges; the limit is {MAX_THEOREM_Q}")
-
-
 class IdOrder:
     """The canonical vertex ids of theorem `number`'s graph at size a with m
     pendants per vertex.
@@ -471,12 +447,12 @@ class IdOrder:
     classes come in table order, each indexed from 1, so c_i has id
     first[c] + i; then come the pendants, grouped by parent, so pendant j of
     the vertex with id x has id p0 + x*m + j - 1 (as _pendant_edges
-    numbers them).  p is the vertex count.
+    numbers them).  p is the vertex count and q the edge count.
     """
 
     def __init__(self, number: int, a: int, m: int):
+        self.number, self.a, self.m = number, a, m
         self.vertices, self.edges = THEOREM_FAMILIES[number].classes(a)
-        self.m = m
         self.first = {}
         p0 = 0
         for letter, count in self.vertices:
@@ -484,6 +460,12 @@ class IdOrder:
             p0 += count
         self.p0 = p0
         self.p = p0 * (m + 1)
+
+    @property
+    def q(self) -> int:
+        """Edges per edge class (pairing two equal-length ranges), then m
+        pendant edges on each of the p0 class vertices."""
+        return sum(len(xs) for _, xs, _, _ in self.edges) + self.p0 * self.m
 
     def ids(self, letter: str, indices: range, j: int = 0) -> range:
         """Ids of letter_i for i in indices (an ascending range), or of
@@ -514,38 +496,55 @@ class IdOrder:
         return tuple(base + [h + t for h in heads for t in tails])
 
 
-def _build(number: int, a: int, m: int) -> Graph:
-    """Theorem `number`'s graph at size a with m pendants per vertex, read
-    off its family table; no domain check.  The graph keeps the IdOrder in
-    place of its tags."""
+def theorem_order(number: int, a: int, m: int) -> IdOrder:
+    """The IdOrder of theorem `number` at size a with m pendants per vertex,
+    raising ValueError unless a and m are ints (bools are rejected) in the
+    theorem's domain and its graph has at most MAX_THEOREM_Q edges."""
+    family = THEOREM_FAMILIES[number]
+    param, least = family.param, family.least
+    if not (_is_int(a) and _is_int(m)):
+        raise ValueError(f"theorem{number} needs int {param} and m")
+    if a < least:
+        raise ValueError(f"theorem{number} needs {param} >= {least}")
+    if m < 1:
+        raise ValueError(f"theorem{number} needs m >= 1")
     order = IdOrder(number, a, m)
+    # a theorem graph is connected, so q >= p - 1; testing p first keeps
+    # len() off index ranges longer than sys.maxsize, where it raises
+    if order.p - 1 > MAX_THEOREM_Q or order.q > MAX_THEOREM_Q:
+        raise ValueError(f"theorem{number} at {param}={a}, m={m} has over "
+                         f"{MAX_THEOREM_Q} edges, the limit")
+    return order
+
+
+def _build(order: IdOrder) -> Graph:
+    """The theorem graph numbered by order, read off its family table; no
+    domain check.  The graph keeps the order in place of its tags."""
     edges = []
     for x, xs, y, ys in order.edges:
         edges += zip(order.ids(x, xs), order.ids(y, ys))
-    edges += _pendant_edges(order.p0, m)
-    family = THEOREM_FAMILIES[number]
-    return Graph(order, edges, Family(family.kind, **{family.param: a}, m=m))
+    edges += _pendant_edges(order.p0, order.m)
+    family = THEOREM_FAMILIES[order.number]
+    return Graph(order, edges,
+                 Family(family.kind, **{family.param: order.a}, m=order.m))
 
 
 def build_theorem1(n: int, m: int) -> Graph:
     """Ladder on n rungs with m pendant edges on every vertex.
     p = 2n(m+1), q = 2mn + 3n - 2."""
-    check_theorem_domain(1, n, m)
-    return _build(1, n, m)
+    return _build(theorem_order(1, n, m))
 
 
 def build_theorem2(n: int, m: int) -> Graph:
     """Subdivided ladder with m pendant edges on every vertex.
     p = (5n-2)(m+1), q = m(5n-2) + 2(3n-2)."""
-    check_theorem_domain(2, n, m)
-    return _build(2, n, m)
+    return _build(theorem_order(2, n, m))
 
 
 def build_theorem3(k: int, m: int) -> Graph:
     """Subdivided triangular snake with m pendant edges on every vertex.
     p = (5k+1)(m+1), q = (5m+6)k + m."""
-    check_theorem_domain(3, k, m)
-    return _build(3, k, m)
+    return _build(theorem_order(3, k, m))
 
 
 # -- structural helpers -----------------------------------------------------

@@ -175,6 +175,8 @@ def test_labeling_array_length_mismatch_exits_2(tmp_path, capsys, command,
 @pytest.mark.parametrize("argv", [
     ("label", "--theorem", "1", "--n", "100000000", "--m", "1"),
     ("gen", "--family", "sub-tri-snake", "--k", "90910", "--m", "1"),
+    ("gen", "--family", "ladder", "--n", "100000000000000000000", "--m", "1"),
+    ("gen", "--family", "ladder", "--n", "2", "--m", "100000000000000000000"),
 ])
 def test_oversized_instance_exits_2(tmp_path, capsys, argv):
     out = tmp_path / "out.json"

@@ -10,11 +10,13 @@ from oddgraceful import (Graph, build_theorem1, build_theorem2, build_theorem3,
                          labeling_to_json, verify_odd_graceful)
 from oddgraceful.cli import _THEOREMS, parse_grid
 from oddgraceful.formulas import SCHEMES
-from oddgraceful.graphs import pendant, theorem_q
+from oddgraceful.graphs import IdOrder, pendant, theorem_order
 from oddgraceful.labeling import (DUPLICATE_EDGE_LABEL,
                                   DUPLICATE_VERTEX_LABEL,
                                   MISSING_ODD_EDGE_LABEL,
                                   MISSING_VERTEX_LABEL)
+
+from test_graphs import LARGE_INSTANCES
 
 # hand-evaluated instances, by vertex id in canonical order
 T1_2_1 = [13, 4, 0, 15, 8, 11, 1, 12]
@@ -216,6 +218,11 @@ def test_labelers_reject_domain_violations():
         label_theorem3(0, 1)
     with pytest.raises(ValueError):
         label_theorem3(1, 0)
+    # a size that is not an int, bools included, as the builders reject it
+    for labeler, a, m in ((label_theorem2, 2, True), (label_theorem3, True, 1),
+                          (label_theorem1, 2.0, 1), (label_theorem1, 2, 1.0)):
+        with pytest.raises(ValueError):
+            labeler(a, m)
 
 
 # -- arithmetic vertex ids ----------------------------------------------------
@@ -262,14 +269,10 @@ def test_labeler_ids_and_q_match_the_built_graph(number, a, m, repairs):
 
 # -- the scheme tables --------------------------------------------------------
 
-# the benchmark's large-instance workload: (number, a, m)
-LARGE_INSTANCES = [(1, 2000, 30), (2, 1000, 20), (3, 1000, 20)]
-
-
 def rows_in_effect(number, a, m, repairs):
     """The scheme's rows at (a, m), each repaired row replaced when repairs
     is set, and the repairs as {name: row}."""
-    _, rows, fixes = SCHEMES[number](a, m, theorem_q(number, a, m))
+    _, rows, fixes = SCHEMES[number](a, m, theorem_order(number, a, m).q)
     fixes = {name: row for name, (_, row) in fixes.items()}
     return ({**rows, **fixes} if repairs else rows), fixes
 
@@ -355,6 +358,25 @@ def test_builders_construct_one_graph(graphs_constructed):
         graphs_constructed.clear()
         g = build(a, 2)
         assert graphs_constructed == [g]
+
+
+def test_builders_and_labelers_construct_one_order(monkeypatch):
+    # one checked IdOrder per call gives the domain check, p, q and the ids
+    orders = []
+    init = IdOrder.__init__
+
+    def counting_init(self, *args):
+        orders.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(IdOrder, "__init__", counting_init)
+    for number, a in ((1, 3), (2, 3), (3, 2)):
+        _, build, label, _ = _THEOREMS[number]
+        for call in (lambda: build(a, 2), lambda: label(a, 2),
+                     lambda: label(a, 2, apply_repairs=True)):
+            orders.clear()
+            call()
+            assert orders == [(number, a, 2)]
 
 
 # -- quarantined repairs ------------------------------------------------------

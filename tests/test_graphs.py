@@ -15,8 +15,8 @@ from oddgraceful import (Family, Graph, build_theorem1, build_theorem2,
                          subdivide, triangular_snake, two_coloring)
 from oddgraceful.canon import canonical_dumps
 from oddgraceful.cli import parse_grid
-from oddgraceful.graphs import (MAX_THEOREM_Q, IdOrder,
-                                check_theorem_domain, theorem_q)
+from oddgraceful.graphs import (MAX_THEOREM_Q, THEOREM_FAMILIES, IdOrder,
+                                theorem_order)
 
 
 def test_path_graph_counts():
@@ -194,31 +194,69 @@ def test_build_theorem3_counts(k, m):
     assert g.q == (5 * m + 6) * k + m
 
 
+# the paper's closed forms: theorem number -> (p, q) at size a and m
+PAPER_COUNTS = {
+    1: lambda n, m: (2 * n * (m + 1), 2 * m * n + 3 * n - 2),
+    2: lambda n, m: ((5 * n - 2) * (m + 1), m * (5 * n - 2) + 2 * (3 * n - 2)),
+    3: lambda k, m: ((5 * k + 1) * (m + 1), (5 * m + 6) * k + m),
+}
+# the benchmark's large-instance workload: (number, a, m)
+LARGE_INSTANCES = [(1, 2000, 30), (2, 1000, 20), (3, 1000, 20)]
+
+
 @pytest.mark.parametrize("number, build",
                          [(1, build_theorem1), (2, build_theorem2),
                           (3, build_theorem3)])
 def test_theorem_q_matches_builders(number, build):
+    # the checked order counts p and q from the family table; both must be
+    # the paper's counts and the built graph's
     for a in range(2, 8):
         for m in range(1, 5):
-            assert theorem_q(number, a, m) == build(a, m).q
+            order, g = theorem_order(number, a, m), build(a, m)
+            assert (order.p, order.q) == PAPER_COUNTS[number](a, m)
+            assert (order.p, order.q) == (g.p, g.q)
+    for a, m in [(a, m) for n, a, m in LARGE_INSTANCES if n == number]:
+        order = theorem_order(number, a, m)
+        assert (order.p, order.q) == PAPER_COUNTS[number](a, m)
+    assert theorem_order(1, 2000, 30).q == 125_998
 
 
 def test_theorem_size_limit():
     # theorem3 at k = 90909, m = 1 has exactly q = 11k + 1 = 10^6 edges
-    assert theorem_q(3, 90909, 1) == MAX_THEOREM_Q
-    check_theorem_domain(3, 90909, 1)
-    for number, a, m in ((3, 90910, 1), (1, 100_000_000, 1),
-                         (2, 2, 10**7)):
+    assert theorem_order(3, 90909, 1).q == MAX_THEOREM_Q
+    # sizes whose index ranges are too long for len() are rejected too
+    for number, a, m in ((3, 90910, 1), (1, 100_000_000, 1), (2, 2, 10**7),
+                         (1, 2**63, 1), (2, 2**63, 1), (3, 2**63, 1),
+                         (1, 2, 2**63), (3, 1, 2**63)):
         with pytest.raises(ValueError, match="limit"):
-            check_theorem_domain(number, a, m)
+            theorem_order(number, a, m)
     with pytest.raises(ValueError, match="limit"):
         build_theorem1(100_000_000, 1)
+    with pytest.raises(ValueError, match="limit"):
+        build_theorem3(2**63, 1)
+
+
+@pytest.mark.parametrize("number", sorted(THEOREM_FAMILIES))
+def test_edge_class_ranges_have_equal_length(number):
+    # _build zips the two index ranges of an edge class and IdOrder.q counts
+    # one of them, so an unequal pair would drop edges without an error
+    least = THEOREM_FAMILIES[number].least
+    sizes = [*range(least, least + 8),
+             *(a for n, a, _ in LARGE_INSTANCES if n == number)]
+    for a in sizes:
+        _, edge_classes = THEOREM_FAMILIES[number].classes(a)
+        for _, xs, _, ys in edge_classes:
+            assert len(xs) == len(ys), (number, a, xs, ys)
 
 
 def test_builders_reject_domain_violations():
     for bad in (lambda: build_theorem1(1, 1), lambda: build_theorem1(2, 0),
                 lambda: build_theorem2(1, 1), lambda: build_theorem2(2, 0),
-                lambda: build_theorem3(0, 1), lambda: build_theorem3(1, 0)):
+                lambda: build_theorem3(0, 1), lambda: build_theorem3(1, 0),
+                lambda: build_theorem2(2, True),
+                lambda: build_theorem3(True, 1),
+                lambda: build_theorem1(2.0, 1),
+                lambda: build_theorem1(2, 1.0)):
         with pytest.raises(ValueError):
             bad()
 
