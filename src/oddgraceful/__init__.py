@@ -7,9 +7,9 @@ complete backtracking search.
 """
 
 from .graphs import (Family, Graph, build_theorem1, build_theorem2,
-                     build_theorem3, cartesian_product, corona_pendants,
-                     cycle_graph, is_bipartite, ladder, path_graph, pendant,
-                     subdivide, triangular_snake, two_coloring)
+                     build_theorem3, corona_pendants, cycle_graph,
+                     is_bipartite, ladder, path_graph, pendant,
+                     triangular_snake, two_coloring)
 from .labeling import (VerificationReport, Violation, complement_labeling,
                        is_odd_graceful, labeling_from_json_obj,
                        labeling_to_json, verify_odd_graceful)
@@ -22,9 +22,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Family", "Graph", "build_theorem1", "build_theorem2", "build_theorem3",
-    "cartesian_product", "corona_pendants", "cycle_graph", "is_bipartite",
-    "ladder", "path_graph", "pendant", "subdivide", "triangular_snake",
-    "two_coloring",
+    "corona_pendants", "cycle_graph", "is_bipartite", "ladder", "path_graph",
+    "pendant", "triangular_snake", "two_coloring",
     "VerificationReport", "Violation", "complement_labeling",
     "is_odd_graceful", "labeling_from_json_obj", "labeling_to_json",
     "verify_odd_graceful",

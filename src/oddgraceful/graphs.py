@@ -3,10 +3,10 @@
 Vertices carry plain string tags naming symbol class and index (u3, w1), so
 that label formulas stated per class and index can be applied without
 guessing which vertex is which.  Pendant j of the vertex tagged x is tagged
-p(x,j) (pendant() formats one such tag); untyped constructions use
-free-form tags such as s(u1,u2).  Graphs are immutable once built, and
-identical parameters always produce identical vertex orderings and edge
-sets.
+p(x,j) (pendant() formats one such tag).  Every tag is a non-empty string
+and no two vertices of a graph share one; the Graph constructor is the one
+place that checks this.  Graphs are immutable once built, and identical
+parameters always produce identical vertex orderings and edge sets.
 
 The three theorem families are data: THEOREM_FAMILIES lists each one's
 vertex classes and edge classes, and one interpreter builds every theorem
@@ -16,7 +16,7 @@ classes in table order, each by index, then the pendants grouped by parent
 that turns a class and index into an id, and it counts the edges q from the
 table; the closed-form labelers in formulas.py take both from the IdOrder
 that theorem_order checks, so they agree with the builders by construction.
-IdOrder also holds the tag rule, in both forms: tag(v) formats one tag and
+IdOrder also holds the tag format, in both forms: tag(v) formats one tag and
 tags() all of them, so a theorem graph keeps its IdOrder and formats its
 tags only when they are read.
 """
@@ -81,11 +81,12 @@ class Graph:
     """Immutable undirected graph over dense vertex ids 0..p-1 with tags.
 
     Edges are stored with the smaller id first and sorted lexicographically.
-    Construction rejects, with ValueError, an endpoint that is not an int
-    (bools and floats included), a self-loop, an endpoint that is not a
-    declared vertex and a duplicate edge; the message names the first
-    offending edge in input order.  The checks run as whole-list passes, so
-    construction costs a few C-level scans and one sort of the edge list.
+    Construction rejects, with ValueError, a tag that is not a non-empty str
+    or repeats an earlier one, then an endpoint that is not an int (bools
+    and floats included), a self-loop, an endpoint that is not a declared
+    vertex and a duplicate edge; the message names the first offending tag
+    in id order, or edge in input order.  The edge checks run as whole-list
+    passes, so they cost a few C-level scans and one sort of the edge list.
     The adjacency is computed on first use and kept.
 
     tags is a sequence of strings, or the IdOrder of a theorem graph, which
@@ -102,6 +103,7 @@ class Graph:
         else:
             self._order, self._tags = None, tuple(tags)
             self.p = len(self._tags)
+            _check_tags(self._tags)
         self.edges = tuple(_sorted_edges(list(edges), self.p))
         self.family = family
         self._adj = None
@@ -175,9 +177,11 @@ class Graph:
     def from_json_obj(obj: dict) -> "Graph":
         """Parse a graph document, raising ValueError on anything malformed.
 
-        Ids and edge endpoints must be ints (bools and floats are rejected),
-        vertex entries objects with a non-empty string tag, and tags
-        unique.  Tags are kept exactly as written.
+        Checks only the document's shape: 'vertices' and 'edges' arrays,
+        vertex entries objects with dense int ids (bools and floats are
+        rejected), edges 2-element lists and 'family' absent, null or an
+        object.  Graph and Family check the tags, the edge endpoints and the
+        family's fields, as for any graph.  Tags are kept exactly as written.
         """
         if not isinstance(obj, dict):
             raise ValueError("graph document must be a JSON object")
@@ -191,15 +195,10 @@ class Graph:
                 raise ValueError(f"vertex entry {i} is not an object")
             if not _is_int(entry.get("id")) or entry["id"] != i:
                 raise ValueError("vertex ids must be dense 0..p-1 in order")
-            text = entry.get("tag")
-            if not isinstance(text, str) or not text:
-                raise ValueError(f"vertex {i} needs a non-empty string tag")
-            tags.append(text)
-        _check_unique_tags(tags)
+            tags.append(entry.get("tag"))
         pairs = []
         for e in edges:
-            if not (isinstance(e, list) and len(e) == 2
-                    and _is_int(e[0]) and _is_int(e[1])):
+            if not (isinstance(e, list) and len(e) == 2):
                 raise ValueError(f"edge {e!r} is not a pair of vertex ids")
             pairs.append((e[0], e[1]))
         fam = obj.get("family")
@@ -220,11 +219,13 @@ def _check_id(v: int, p: int) -> None:
         raise IndexError(f"vertex id {v} is not in 0..{p - 1}")
 
 
-def _check_unique_tags(tags: list) -> None:
-    """Raise ValueError naming the first tag, in id order, that repeats an
-    earlier one: no graph file may hold such a tag."""
+def _check_tags(tags: tuple) -> None:
+    """Raise ValueError naming the first tag, in id order, that is not a
+    non-empty str or repeats an earlier one: no graph file may hold it."""
     seen = set()
-    for text in tags:
+    for i, text in enumerate(tags):
+        if not isinstance(text, str) or not text:
+            raise ValueError(f"vertex {i} needs a non-empty string tag")
         if text in seen:
             raise ValueError(f"duplicate vertex tag {text!r}")
         seen.add(text)
@@ -275,46 +276,25 @@ def _raise_first_bad_edge(edges: list, p: int) -> None:
 
 def path_graph(n: int) -> Graph:
     """Path on n vertices tagged v1..vn."""
-    if n < 1:
-        raise ValueError("path_graph needs n >= 1")
+    if not _is_int(n) or n < 1:
+        raise ValueError("path_graph needs an int n >= 1")
     return Graph([f"v{i}" for i in range(1, n + 1)],
                  [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
     """Cycle on n vertices tagged v1..vn."""
-    if n < 3:
-        raise ValueError("cycle_graph needs n >= 3")
+    if not _is_int(n) or n < 3:
+        raise ValueError("cycle_graph needs an int n >= 3")
     edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
     return Graph([f"v{i}" for i in range(1, n + 1)], edges)
-
-
-def cartesian_product(g1: Graph, g2: Graph) -> Graph:
-    """Cartesian product: (x1,x2)~(y1,y2) iff one coordinate is equal and the
-    other is adjacent.  Product vertices are tagged with the pair (t1,t2)."""
-    if g1.p == 0 or g2.p == 0:
-        raise ValueError("cartesian_product needs non-empty graphs")
-    tags = [f"({t1},{t2})" for t1 in g1.tags for t2 in g2.tags]
-
-    def vid(i1, i2):
-        return i1 * g2.p + i2
-
-    edges = []
-    for i1 in range(g1.p):
-        for a, b in g2.edges:
-            edges.append((vid(i1, a), vid(i1, b)))
-    for a, b in g1.edges:
-        for i2 in range(g2.p):
-            edges.append((vid(a, i2), vid(b, i2)))
-    _check_unique_tags(tags)
-    return Graph(tags, edges)
 
 
 def ladder(n: int) -> Graph:
     """Two parallel paths u1..un and v1..vn joined by rungs ui-vi: the
     theorem-1 family without pendants."""
-    if n < 2:
-        raise ValueError("ladder needs n >= 2")
+    if not _is_int(n) or n < 2:
+        raise ValueError("ladder needs an int n >= 2")
     return _build(IdOrder(1, n, 0))
 
 
@@ -335,8 +315,8 @@ def corona_pendants(g: Graph, m: int) -> Graph:
     already has p(x,1) gets p(x,2) next.  Tags join each parent's head to
     tails formatted once.  With m = 0 the result equals g, family included.
     """
-    if m < 0:
-        raise ValueError("pendant count must be >= 0")
+    if not _is_int(m) or m < 0:
+        raise ValueError("pendant count must be an int >= 0")
     tags, edges = list(g.tags), list(g.edges)
     taken = {}  # parent tag -> highest pendant index in tags
     for match in filter(None, map(_PENDANT_RE.match, tags)):
@@ -350,27 +330,10 @@ def corona_pendants(g: Graph, m: int) -> Graph:
     return Graph(tags, edges, g.family if m == 0 else None)
 
 
-def subdivide(g: Graph) -> Graph:
-    """Replace every edge (a,b) by a-c and c-b through a fresh midpoint c.
-
-    Midpoints are appended in canonical edge order and get tags
-    s(tagA,tagB); the result has p+q vertices and 2q edges.
-    """
-    tags = list(g.tags)
-    edges = []
-    for a, b in g.edges:
-        mid = len(tags)
-        tags.append(f"s({g.tags[a]},{g.tags[b]})")
-        edges.append((a, mid))
-        edges.append((mid, b))
-    _check_unique_tags(tags)
-    return Graph(tags, edges)
-
-
 def triangular_snake(k: int) -> Graph:
     """Chain of k triangles: path u1..u(k+1) with apex wi over each edge."""
-    if k < 1:
-        raise ValueError("triangular_snake needs k >= 1")
+    if not _is_int(k) or k < 1:
+        raise ValueError("triangular_snake needs an int k >= 1")
     tags = ([f"u{i}" for i in range(1, k + 2)]
             + [f"w{i}" for i in range(1, k + 1)])
     edges = []

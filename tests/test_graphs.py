@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oddgraceful
+from constructions import cartesian_product, subdivide
 from oddgraceful import (Family, Graph, build_theorem1, build_theorem2,
-                         build_theorem3, cartesian_product, corona_pendants,
-                         cycle_graph, is_bipartite, ladder, path_graph,
-                         subdivide, triangular_snake, two_coloring)
+                         build_theorem3, corona_pendants, cycle_graph,
+                         is_bipartite, ladder, path_graph, triangular_snake,
+                         two_coloring)
 from oddgraceful.canon import canonical_dumps
 from oddgraceful.cli import parse_grid
 from oddgraceful.graphs import (MAX_THEOREM_Q, THEOREM_FAMILIES, IdOrder,
@@ -26,8 +27,9 @@ def test_path_graph_counts():
 
 
 def test_path_graph_rejects_empty():
-    with pytest.raises(ValueError):
-        path_graph(0)
+    for n in (0, 2.0, True):
+        with pytest.raises(ValueError, match="n >= 1"):
+            path_graph(n)
 
 
 def test_path_graph_tags():
@@ -58,13 +60,15 @@ def test_cartesian_product_rejects_empty():
 
 
 def test_cycle_graph_rejects_fewer_than_3_vertices():
-    with pytest.raises(ValueError, match="n >= 3"):
-        cycle_graph(2)
+    for n in (2, 3.0, True):
+        with pytest.raises(ValueError, match="n >= 3"):
+            cycle_graph(n)
 
 
 def test_corona_pendants_rejects_negative_count():
-    with pytest.raises(ValueError, match=">= 0"):
-        corona_pendants(path_graph(2), -1)
+    for m in (-1, 1.0, True):
+        with pytest.raises(ValueError, match=">= 0"):
+            corona_pendants(path_graph(2), m)
 
 
 # a constructor that derives tags must not build a graph whose file
@@ -100,8 +104,9 @@ def test_ladder_matches_cartesian_product_structure():
 
 
 def test_ladder_rejects_small():
-    with pytest.raises(ValueError):
-        ladder(1)
+    for n in (1, 2.0, True):
+        with pytest.raises(ValueError, match="n >= 2"):
+            ladder(n)
 
 
 def test_corona_counts():
@@ -166,8 +171,9 @@ def test_triangular_snake_counts():
 
 
 def test_triangular_snake_rejects_zero():
-    with pytest.raises(ValueError):
-        triangular_snake(0)
+    for k in (0, 1.0, True):
+        with pytest.raises(ValueError, match="k >= 1"):
+            triangular_snake(k)
 
 
 @pytest.mark.parametrize("n", range(2, 11))
@@ -491,7 +497,8 @@ def test_two_coloring_alternates():
 def test_package_exports_resolve_without_tag_api():
     for name in oddgraceful.__all__:
         assert hasattr(oddgraceful, name), name
-    removed = {"Tag", "U", "V", "W", "Y", "Z", "generic", "parse_tag"}
+    removed = {"Tag", "U", "V", "W", "Y", "Z", "generic", "parse_tag",
+               "cartesian_product", "subdivide"}
     assert not removed & set(oddgraceful.__all__)
     assert not [name for name in removed if hasattr(oddgraceful, name)]
 
@@ -604,6 +611,49 @@ def test_family_constructor_rejects_what_the_loader_rejects(fields, message):
         Family.from_json_obj(fields)
     with pytest.raises(ValueError, match=re.escape(message)):
         Family("ladder")._replace(**fields)
+
+
+@pytest.mark.parametrize("tags, message", [
+    ([1, 2], "vertex 0 needs a non-empty string tag"),
+    (["a", "a"], "duplicate vertex tag 'a'"),
+    ([""], "vertex 0 needs a non-empty string tag"),
+    ([None], "vertex 0 needs a non-empty string tag"),
+    (["a", "b", 7, "a"], "vertex 2 needs a non-empty string tag"),
+], ids=["ints", "repeat", "empty", "none", "first-in-id-order"])
+def test_graph_constructor_rejects_what_the_loader_rejects(tags, message):
+    # otherwise Graph builds a graph whose file Graph.from_json rejects, or
+    # whose to_json raises
+    doc = {"vertices": [{"id": i, "tag": t} for i, t in enumerate(tags)],
+           "edges": []}
+    for load in (lambda: Graph(tags, []), lambda: Graph.from_json_obj(doc)):
+        with pytest.raises(ValueError) as exc:
+            load()
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("edge", [[True, 1], [0, 1.0], ["a", 1], [None, 1]])
+def test_graph_loader_leaves_endpoints_to_the_constructor(edge):
+    doc = {"vertices": [{"id": 0, "tag": "a"}, {"id": 1, "tag": "b"}],
+           "edges": [edge]}
+    with pytest.raises(ValueError) as exc:
+        Graph.from_json_obj(doc)
+    a, b = edge
+    assert str(exc.value) == (
+        f"edge ({a!r},{b!r}) has an endpoint that is not an int")
+
+
+@given(st.lists(st.sampled_from(["", "a", "b"]) | st.text(max_size=2)
+                | st.integers(0, 2) | st.none(), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_graph_constructor_accepts_only_tags_a_file_can_hold(tags):
+    good = (all(isinstance(t, str) and t for t in tags)
+            and len(set(tags)) == len(tags))
+    if not good:
+        with pytest.raises(ValueError):
+            Graph(tags, [])
+        return
+    g = Graph(tags, [])
+    assert Graph.from_json(g.to_json()) == g
 
 
 @st.composite
