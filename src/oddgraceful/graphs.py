@@ -82,12 +82,13 @@ class Graph:
 
     Edges are stored with the smaller id first and sorted lexicographically.
     Construction rejects, with ValueError, a tag that is not a non-empty str
-    or repeats an earlier one, then an endpoint that is not an int (bools
-    and floats included), a self-loop, an endpoint that is not a declared
-    vertex and a duplicate edge; the message names the first offending tag
-    in id order, or edge in input order.  The edge checks run as whole-list
-    passes, so they cost a few C-level scans and one sort of the edge list.
-    The adjacency is computed on first use and kept.
+    or repeats an earlier one, then an edge that is not a pair, an endpoint
+    that is not an int (bools and floats included), a self-loop, an
+    endpoint that is not a declared vertex and a duplicate edge, then a
+    family that is neither None nor a Family; the message names the first
+    offending tag in id order, or edge in input order.  The edge checks run
+    as whole-list passes, so they cost a few C-level scans and one sort of
+    the edge list.  The adjacency is computed on first use and kept.
 
     tags is a sequence of strings, or the IdOrder of a theorem graph, which
     then formats its tags on first read of `tags` and keeps them; tag(v)
@@ -105,6 +106,8 @@ class Graph:
             self.p = len(self._tags)
             _check_tags(self._tags)
         self.edges = tuple(_sorted_edges(list(edges), self.p))
+        if family is not None and not isinstance(family, Family):
+            raise ValueError(f"graph family {family!r} is not a Family")
         self.family = family
         self._adj = None
 
@@ -159,11 +162,25 @@ class Graph:
 
     def to_json(self) -> str:
         """Canonical graph JSON written directly, byte for byte canonical_dumps
-        of {"edges", "family", "vertices": [{"id", "tag"}, ...]}."""
+        of {"edges", "family", "vertices": [{"id", "tag"}, ...]}.
+
+        Each array is one % format over a flat tuple: the edge endpoints, and
+        the vertex ids interleaved with the tags.  The tags are written as is
+        when encoding them all joined adds only the two quotes, since every
+        character the encoder escapes lengthens its output; otherwise each
+        tag is encoded on its own."""
         encode = json.encoder.encode_basestring_ascii  # as json.dumps does
-        edges = ",".join([f"[{a},{b}]" for a, b in self.edges])
-        vertices = ",".join([f'{{"id":{i},"tag":{encode(t)}}}'
-                             for i, t in enumerate(self.tags)])
+        edges = ("[%d,%d]," * self.q
+                 % tuple(chain.from_iterable(self.edges)))[:-1]
+        tags, text = self.tags, "".join(self.tags)
+        if len(encode(text)) == len(text) + 2:
+            entry = '{"id":%d,"tag":"%s"},'
+        else:
+            entry, tags = '{"id":%d,"tag":%s},', list(map(encode, tags))
+        del text  # a megabyte at q near 10^5; freed before the format
+        fields = [None] * (2 * self.p)
+        fields[::2], fields[1::2] = range(self.p), tags
+        vertices = (entry * self.p % tuple(fields))[:-1]
         family = self.family.to_json_obj() if self.family else None
         return (f'{{"edges":[{edges}],"family":{canonical_dumps(family)[:-1]},'
                 f'"vertices":[{vertices}]}}\n')
@@ -179,9 +196,10 @@ class Graph:
 
         Checks only the document's shape: 'vertices' and 'edges' arrays,
         vertex entries objects with dense int ids (bools and floats are
-        rejected), edges 2-element lists and 'family' absent, null or an
-        object.  Graph and Family check the tags, the edge endpoints and the
-        family's fields, as for any graph.  Tags are kept exactly as written.
+        rejected), edges arrays and 'family' absent, null or an object.
+        Graph and Family check the tags, that each edge is a pair of int
+        endpoints and the family's fields, as for any graph.  Tags are kept
+        exactly as written.
         """
         if not isinstance(obj, dict):
             raise ValueError("graph document must be a JSON object")
@@ -196,14 +214,12 @@ class Graph:
             if not _is_int(entry.get("id")) or entry["id"] != i:
                 raise ValueError("vertex ids must be dense 0..p-1 in order")
             tags.append(entry.get("tag"))
-        pairs = []
         for e in edges:
-            if not (isinstance(e, list) and len(e) == 2):
+            if not isinstance(e, list):
                 raise ValueError(f"edge {e!r} is not a pair of vertex ids")
-            pairs.append((e[0], e[1]))
         fam = obj.get("family")
         family = Family.from_json_obj(fam) if fam is not None else None
-        return Graph(tags, pairs, family)
+        return Graph(tags, edges, family)
 
     @staticmethod
     def from_json(text: str) -> "Graph":
@@ -234,28 +250,36 @@ def _check_tags(tags: tuple) -> None:
 def _sorted_edges(edges: list, p: int) -> list:
     """The edges as (smaller id, larger id) pairs, sorted.
 
-    Whole-list passes check that every endpoint is an int in 0..p-1 and
-    that no edge is a self-loop or a duplicate; if one fails,
-    _raise_first_bad_edge names the edge.
+    Whole-list passes check that every edge is a pair, every endpoint an
+    int in 0..p-1 and that no edge is a self-loop or a duplicate; if one
+    fails, _raise_first_bad_edge names the edge.
     """
-    if set(map(type, chain.from_iterable(edges))) <= {int}:
-        pairs = [(a, b) if a < b else (b, a) for a, b in edges]
-        pairs.sort()
-        if not pairs or (pairs[0][0] >= 0
-                         and max(map(itemgetter(1), pairs)) < p
-                         and not any(starmap(eq, pairs))
-                         and len(set(pairs)) == len(pairs)):
-            return pairs
+    try:  # an edge that is not iterable, or not a pair, raises here
+        if set(map(type, chain.from_iterable(edges))) <= {int}:
+            pairs = [(a, b) if a < b else (b, a) for a, b in edges]
+            pairs.sort()
+            if not pairs or (pairs[0][0] >= 0
+                             and max(map(itemgetter(1), pairs)) < p
+                             and not any(starmap(eq, pairs))
+                             and len(set(pairs)) == len(pairs)):
+                return pairs
+    except (TypeError, ValueError):
+        pass
     _raise_first_bad_edge(edges, p)
 
 
 def _raise_first_bad_edge(edges: list, p: int) -> None:
-    """Raise ValueError for the first edge in input order with an endpoint
-    that is not an int, a self-loop, an undeclared vertex or an earlier
-    copy, checked in that order.  Called only after a whole-list check in
-    _sorted_edges failed, so some edge always raises."""
+    """Raise ValueError for the first edge in input order that is not a
+    pair, or has an endpoint that is not an int, a self-loop, an undeclared
+    vertex or an earlier copy, checked in that order.  Called only after a
+    whole-list check in _sorted_edges failed, so some edge always raises."""
     seen = set()
-    for a, b in edges:
+    for e in edges:
+        try:
+            a, b = e
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"edge {e!r} is not a pair of vertex ids") from None
         if type(a) is not int or type(b) is not int:
             raise ValueError(
                 f"edge ({a!r},{b!r}) has an endpoint that is not an int")

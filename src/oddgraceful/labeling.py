@@ -263,6 +263,8 @@ def labeling_from_json_obj(obj: dict) -> Tuple[str, Labeling]:
     except (KeyError, TypeError) as exc:
         raise ValueError(
             "labeling document needs 'graph_fingerprint' and 'labels'") from exc
+    if not isinstance(fp, str):
+        raise ValueError("'graph_fingerprint' must be a string")
     if not isinstance(arr, list):
         raise ValueError("'labels' must be an array indexed by vertex id")
     for v, x in enumerate(arr):

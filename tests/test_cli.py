@@ -172,6 +172,20 @@ def test_labeling_array_length_mismatch_exits_2(tmp_path, capsys, command,
     assert "length" in err
 
 
+@pytest.mark.parametrize("fp", [5, None, ["x"]])
+@pytest.mark.parametrize("command", ["verify", "export"])
+def test_labeling_fingerprint_not_a_string_exits_2(tmp_path, capsys, command,
+                                                   fp):
+    # not reported as a fingerprint that does not match the graph
+    gpath, lpath = gen_pair(tmp_path, capsys, 1, "n", 2, 1)
+    doc = json.loads(lpath.read_text())
+    doc["graph_fingerprint"] = fp
+    lpath.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, command, str(gpath), str(lpath))
+    assert_one_error_line(code, stdout, err)
+    assert "'graph_fingerprint' must be a string" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("label", "--theorem", "1", "--n", "100000000", "--m", "1"),
     ("gen", "--family", "sub-tri-snake", "--k", "90910", "--m", "1"),

@@ -208,6 +208,25 @@ PAPER_COUNTS = {
 }
 # the benchmark's large-instance workload: (number, a, m)
 LARGE_INSTANCES = [(1, 2000, 30), (2, 1000, 20), (3, 1000, 20)]
+# sha256 of each one's to_json(), pinned by the benchmark's worker
+LARGE_INSTANCE_FINGERPRINTS = {
+    (1, 2000, 30):
+        "6a55e75c669690dc1f495c9516fd112870df6258f7cd7aa63b17bcfff3a99e6c",
+    (2, 1000, 20):
+        "8c296fef6d57fdaa84e1f76e2f68207a0e3d648ee0e95c0c64703762c952ae4e",
+    (3, 1000, 20):
+        "308d7295fe17df2f963df6d11e3287ef3ef906eca972299216b3d0c3cc240916",
+}
+
+
+@pytest.mark.parametrize("number, a, m", LARGE_INSTANCES)
+def test_large_instance_fingerprints(number, a, m):
+    # the graph writer at q near 10^5, without running the benchmark
+    build = {1: build_theorem1, 2: build_theorem2, 3: build_theorem3}[number]
+    g = build(a, m)
+    text = g.to_json()
+    assert g.fingerprint() == hashlib.sha256(text.encode()).hexdigest()
+    assert g.fingerprint() == LARGE_INSTANCE_FINGERPRINTS[number, a, m]
 
 
 @pytest.mark.parametrize("number, build",
@@ -403,6 +422,13 @@ _BAD_EDGE_CASES = [
     (["a", "b", "c"], [(0, 1), (1.0, 2)],
      "edge (1.0,2) has an endpoint that is not an int"),
     (["a", "b"], [("x", 1)], "edge ('x',1) has an endpoint that is not an int"),
+    (["a", "b"], [(0, 1, 2)], "edge (0, 1, 2) is not a pair of vertex ids"),
+    (["a", "b"], [(0, 1), (1,)], "edge (1,) is not a pair of vertex ids"),
+    (["a", "b"], [(0, 1), 7], "edge 7 is not a pair of vertex ids"),
+    (["a", "b"], [(0, 1), (0, 1.5), (0, 1, 1)],
+     "edge (0,1.5) has an endpoint that is not an int"),
+    (["a", "b"], [(0, 2), [0, 1, 1]],
+     "edge (0,2) references an undeclared vertex"),
     # several bad edges: the message names the first one in input order
     (["a", "b", "c"], [(0, 1), (2, 5), (1, 1), (1, 0), (0, 1.5)],
      "edge (2,5) references an undeclared vertex"),
@@ -422,11 +448,24 @@ def test_graph_validation():
         assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("family", [{"kind": "x"}, ("ladder", 2), "ladder",
+                                    0])
+def test_graph_rejects_a_family_that_is_not_a_Family(family):
+    # otherwise to_json raises AttributeError, or writes "family":null for
+    # a falsy one, so the file does not read back equal
+    with pytest.raises(ValueError) as exc:
+        Graph(["a"], [], family)
+    assert str(exc.value) == f"graph family {family!r} is not a Family"
+
+
 def _reference_edge_check(edges, p):
     """The constructor's rule, edge by edge: the message for the first
     offending edge in input order, or None when every edge is good."""
     seen = set()
-    for a, b in edges:
+    for e in edges:
+        if len(e) != 2:
+            return f"edge {e!r} is not a pair of vertex ids"
+        a, b = e
         if type(a) is not int or type(b) is not int:
             return f"edge ({a!r},{b!r}) has an endpoint that is not an int"
         if a == b:
@@ -443,7 +482,7 @@ def _reference_edge_check(edges, p):
 @st.composite
 def edge_lists(draw):
     """Shuffled simple edge lists with randomly reversed pairs, and with a
-    few bad edges mixed in when bad is drawn."""
+    few bad edges (some not pairs) mixed in when bad is drawn."""
     p = draw(st.integers(min_value=1, max_value=8))
     pairs = [(a, b) for a in range(p) for b in range(a + 1, p)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)
@@ -452,7 +491,9 @@ def edge_lists(draw):
     if draw(st.booleans()):
         end = st.integers(min_value=-2, max_value=p + 1) | st.sampled_from(
             [True, False, 1.0, 0.5])
-        bad = draw(st.lists(st.tuples(end, end), min_size=1, max_size=3))
+        bad = draw(st.lists(st.tuples(end, end) | st.tuples(end)
+                            | st.tuples(end, end, end), min_size=1,
+                            max_size=3))
         edges += bad + draw(st.lists(st.sampled_from(edges), max_size=2)
                             if edges else st.just([]))
     return p, draw(st.permutations(edges))
@@ -547,6 +588,14 @@ def _bool_edge(doc):
     doc["edges"][0] = [False, True]
 
 
+def _edge_not_a_pair(doc):
+    doc["edges"][0] = [0, 1, 2]
+
+
+def _edge_not_an_array(doc):
+    doc["edges"][0] = {"a": 0, "b": 1}
+
+
 def _duplicate_tag(doc):
     doc["vertices"][1]["tag"] = "u1"
 
@@ -581,7 +630,8 @@ def _family_not_object(doc):
 
 # ways to break the ladder(2) graph document; each must be rejected
 MALFORMED_GRAPH_DOCS = [_vertex_not_object, _tag_not_string, _float_edge_id,
-                        _bool_edge, _duplicate_tag, _empty_tag, _missing_tag,
+                        _bool_edge, _edge_not_a_pair, _edge_not_an_array,
+                        _duplicate_tag, _empty_tag, _missing_tag,
                         _family_kind_not_string,
                         _family_n_not_int, _family_m_bool, _family_k_float,
                         _family_not_object]
@@ -640,6 +690,18 @@ def test_graph_loader_leaves_endpoints_to_the_constructor(edge):
     a, b = edge
     assert str(exc.value) == (
         f"edge ({a!r},{b!r}) has an endpoint that is not an int")
+
+
+@pytest.mark.parametrize("edge", [[0, 1, 2], [0], [], "ab",
+                                  {"a": 0, "b": 1}])
+def test_graph_loader_names_an_edge_that_is_not_a_pair(edge):
+    # the loader rejects an edge that is not an array, and the constructor
+    # one that is not a pair, both in the same words
+    doc = {"vertices": [{"id": 0, "tag": "a"}, {"id": 1, "tag": "b"}],
+           "edges": [[0, 1], edge]}
+    with pytest.raises(ValueError) as exc:
+        Graph.from_json_obj(doc)
+    assert str(exc.value) == f"edge {edge!r} is not a pair of vertex ids"
 
 
 @given(st.lists(st.sampled_from(["", "a", "b"]) | st.text(max_size=2)
@@ -724,3 +786,53 @@ def test_graph_json_exact_text():
         r'{"edges":[[0,1],[1,2]],"family":{"kind":"ladder","m":0,"n":2},'
         r'"vertices":[{"id":0,"tag":"a\"b"},{"id":1,"tag":"a\\b"},'
         r'{"id":2,"tag":"\u00e9"}]}' "\n")
+    assert Graph([], []).to_json() == (
+        '{"edges":[],"family":null,"vertices":[]}\n')
+    assert Graph(["a", "b c"], []).to_json() == (
+        '{"edges":[],"family":null,'
+        '"vertices":[{"id":0,"tag":"a"},{"id":1,"tag":"b c"}]}\n')
+
+
+def _reference_graph_json(g):
+    """The graph file as canonical_dumps writes its dict form: the text
+    Graph.to_json must match byte for byte."""
+    return canonical_dumps({
+        "edges": [list(e) for e in g.edges],
+        "family": g.family.to_json_obj() if g.family else None,
+        "vertices": [{"id": i, "tag": t} for i, t in enumerate(g.tags)]})
+
+
+# printable ASCII but the quote and the backslash: text the JSON encoder
+# writes as is
+_safe_text = st.text(st.characters(min_codepoint=0x20, max_codepoint=0x7e,
+                                   exclude_characters='"\\'), min_size=1)
+_escaped_char = (st.sampled_from(['"', "\\"])
+                 | st.integers(0, 0x1f).map(chr)  # control characters
+                 | st.integers(0x7f, 0x10ffff).map(chr)  # non-ASCII
+                 | st.integers(0xd800, 0xdfff).map(chr))  # lone surrogates
+
+
+@st.composite
+def mostly_safe_graphs(draw):
+    """Graphs whose tags the encoder writes as is, but for at most one tag
+    holding one character it escapes, placed first, last or anywhere."""
+    tags = draw(st.lists(_safe_text, max_size=6, unique=True))
+    if draw(st.booleans()):
+        bad = draw(st.tuples(st.text(max_size=2), _escaped_char,
+                             st.text(max_size=2)).map("".join))
+        at = draw(st.sampled_from([0, len(tags)])
+                  | st.integers(0, len(tags)))
+        tags.insert(at, bad)
+    p = len(tags)
+    pairs = [(a, b) for a in range(p) for b in range(a + 1, p)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=8)
+                 if pairs else st.just([]))
+    family = draw(st.none() | st.builds(Family, _safe_text, _sizes, _sizes,
+                                        _sizes))
+    return Graph(tags, edges, family)
+
+
+@given(mostly_safe_graphs() | tagged_graphs())
+@settings(max_examples=300, deadline=None)
+def test_graph_json_matches_reference_writer(g):
+    assert g.to_json() == _reference_graph_json(g)

@@ -211,6 +211,8 @@ def test_labeling_json_rejects_malformed():
         labeling_from_json_obj({"graph_fingerprint": "x", "labels": [0, "y"]})
     with pytest.raises(ValueError):
         labeling_from_json_obj({"graph_fingerprint": "x", "labels": 3})
+    with pytest.raises(ValueError, match="'graph_fingerprint' must be a"):
+        labeling_from_json_obj({"graph_fingerprint": 5, "labels": []})
 
 
 @st.composite
