@@ -21,8 +21,9 @@ import sys
 from .formulas import label_theorem1, label_theorem2, label_theorem3
 from .graphs import (THEOREM_FAMILIES, Graph, build_theorem1, build_theorem2,
                      build_theorem3, theorem_order)
-from .labeling import (first_violation, labeling_from_json_obj,
-                       labeling_to_json, verify_odd_graceful)
+from .labeling import (_check_labeling, first_violation,
+                       labeling_from_json_obj, labeling_to_json,
+                       verify_odd_graceful)
 from .search import SearchConfig, find_odd_graceful
 
 FAMILIES = tuple(f.kind for f in THEOREM_FAMILIES.values())  # theorem 1 first
@@ -58,13 +59,11 @@ def _load_graph(path: str) -> Graph:
 
 def _load_labeling(path: str, g: Graph):
     """Labels of a labeling file, raising ValueError unless the file is bound
-    to g by its fingerprint and has one array entry per vertex of g."""
+    to g by its fingerprint and is a labeling of g (see _check_labeling)."""
     fp, labels = labeling_from_json_obj(_load_json(path))
     if fp != g.fingerprint():
         raise ValueError("labeling fingerprint does not match the graph")
-    if len(labels) != g.p:
-        raise ValueError(
-            "labeling array length does not match the vertex count")
+    _check_labeling(g, labels)
     return labels
 
 

@@ -43,14 +43,8 @@ class FormulaInterpretation(NamedTuple):
     notes: Tuple[Tuple[str, str], ...] = ()
     uncovered: Tuple[str, ...] = ()
 
-    def to_json_obj(self) -> dict:
-        return {
-            "notes": [[fid, text] for fid, text in self.notes],
-            "uncovered": list(self.uncovered),
-        }
-
     def to_json(self) -> str:
-        return canonical_dumps(self.to_json_obj())
+        return canonical_dumps(self._asdict())  # tuples become arrays
 
 
 def _scheme1(n, m, q):

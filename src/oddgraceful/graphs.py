@@ -45,13 +45,13 @@ def pendant(parent: str, j: int) -> str:
 
 class Family(namedtuple("Family", "kind n k m", defaults=(None,) * 3)):
     """Construction parameters attached to a generated graph instance: a
-    string kind, and n, k and m each None or an int (bools are rejected)."""
+    kind that is exactly a str, and n, k and m each None or exactly an int."""
 
     __slots__ = ()
 
     def __new__(cls, *fields, **named):
         self = super().__new__(cls, *fields, **named)
-        if not isinstance(self.kind, str):
+        if type(self.kind) is not str:
             raise ValueError("family object needs a string 'kind' field")
         for name in ("n", "k", "m"):
             value = getattr(self, name)
@@ -81,9 +81,9 @@ class Graph:
     """Immutable undirected graph over dense vertex ids 0..p-1 with tags.
 
     Edges are stored with the smaller id first and sorted lexicographically.
-    Construction rejects, with ValueError, a tag that is not a non-empty str
-    or repeats an earlier one, then an edge that is not a pair, an endpoint
-    that is not an int (bools and floats included), a self-loop, an
+    Construction rejects, with ValueError, a tag that is not a non-empty
+    exact str or repeats an earlier one, then an edge that is not a pair, an
+    endpoint that is not an exact int (a bool, say), a self-loop, an
     endpoint that is not a declared vertex and a duplicate edge, then a
     family that is neither None nor a Family; the message names the first
     offending tag in id order, or edge in input order.  The edge checks run
@@ -227,7 +227,8 @@ class Graph:
 
 
 def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    """The one int rule: exactly an int, as the bulk type passes check."""
+    return type(x) is int
 
 
 def _check_id(v: int, p: int) -> None:
@@ -240,7 +241,7 @@ def _check_tags(tags: tuple) -> None:
     non-empty str or repeats an earlier one: no graph file may hold it."""
     seen = set()
     for i, text in enumerate(tags):
-        if not isinstance(text, str) or not text:
+        if type(text) is not str or not text:
             raise ValueError(f"vertex {i} needs a non-empty string tag")
         if text in seen:
             raise ValueError(f"duplicate vertex tag {text!r}")
@@ -280,7 +281,7 @@ def _raise_first_bad_edge(edges: list, p: int) -> None:
         except (TypeError, ValueError):
             raise ValueError(
                 f"edge {e!r} is not a pair of vertex ids") from None
-        if type(a) is not int or type(b) is not int:
+        if not (_is_int(a) and _is_int(b)):
             raise ValueError(
                 f"edge ({a!r},{b!r}) has an endpoint that is not an int")
         if a == b:
@@ -485,7 +486,7 @@ class IdOrder:
 
 def theorem_order(number: int, a: int, m: int) -> IdOrder:
     """The IdOrder of theorem `number` at size a with m pendants per vertex,
-    raising ValueError unless a and m are ints (bools are rejected) in the
+    raising ValueError unless a and m are exact ints (no bools) in the
     theorem's domain and its graph has at most MAX_THEOREM_Q edges."""
     family = THEOREM_FAMILIES[number]
     param, least = family.param, family.least

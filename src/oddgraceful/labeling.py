@@ -68,9 +68,9 @@ class Violation(NamedTuple):
         return {
             "kind": self.kind,
             "vertices": [g.tag(v) for v in self.vertex_ids],
-            "vertex_ids": list(self.vertex_ids),
+            "vertex_ids": self.vertex_ids,
             "edges": [[g.tag(a), g.tag(b)] for a, b in self.edge_ids],
-            "edge_ids": [[a, b] for a, b in self.edge_ids],
+            "edge_ids": self.edge_ids,
             "label": self.label,
         }
 
@@ -100,27 +100,25 @@ class VerificationReport(NamedTuple):
     q: int
     violations: Tuple[Violation, ...] = ()
 
-    def to_json_obj(self, g: Graph) -> dict:
-        return {
+    def to_json(self, g: Graph) -> str:
+        return canonical_dumps({
             "ok": self.ok,
             "q": self.q,
             "violations": [v.to_json_obj(g) for v in self.violations],
-        }
-
-    def to_json(self, g: Graph) -> str:
-        return canonical_dumps(self.to_json_obj(g))
+        })
 
 
 def _check_labeling(g: Graph, labels: Labeling) -> None:
     """Reject anything but a list with one int or None per vertex of g
-    (a bool or a float is not a label)."""
+    (an exact int: a bool or a float is not a label)."""
     if not isinstance(labels, list):
         raise TypeError(f"a labeling is a list, not {type(labels).__name__}")
     if len(labels) != g.p:
-        raise ValueError(f"{len(labels)} labels for {g.p} vertices")
+        raise ValueError(f"{len(labels)} labels for {g.p} vertices: a "
+                         "labeling's length is the vertex count")
     if not set(map(type, labels)) <= {int, type(None)}:
         v = next(v for v, x in enumerate(labels)
-                 if x is not None and type(x) is not int)
+                 if x is not None and not _is_int(x))
         raise ValueError(
             f"vertex {v} has label {labels[v]!r}, not an int or None")
 
@@ -260,10 +258,10 @@ def labeling_from_json_obj(obj: dict) -> Tuple[str, Labeling]:
     try:
         fp = obj["graph_fingerprint"]
         arr = obj["labels"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise ValueError(
             "labeling document needs 'graph_fingerprint' and 'labels'") from exc
-    if not isinstance(fp, str):
+    if type(fp) is not str:
         raise ValueError("'graph_fingerprint' must be a string")
     if not isinstance(arr, list):
         raise ValueError("'labels' must be an array indexed by vertex id")

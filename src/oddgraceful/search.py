@@ -18,7 +18,7 @@ from time import perf_counter
 from typing import NamedTuple, Optional
 
 from .canon import canonical_dumps
-from .graphs import Graph, _walk
+from .graphs import Graph, _is_int, _walk
 from .labeling import Labeling, max_label, verify_odd_graceful
 
 
@@ -42,7 +42,7 @@ class SearchConfig(namedtuple("SearchConfig", "node_budget time_budget_ms",
         self = super().__new__(cls, *fields, **named)
         for name in ("node_budget", "time_budget_ms"):
             value = getattr(self, name)
-            if value is not None and (type(value) is not int or value < 0):
+            if value is not None and (not _is_int(value) or value < 0):
                 raise ValueError(f"{name} must be an int >= 0, got {value!r}")
         return self
 
@@ -70,8 +70,8 @@ class SearchOutcome(NamedTuple):
     reason: Optional[str] = None  # "node-budget" | "time-budget"
     labeling: Optional[Labeling] = None
 
-    def to_json_obj(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return canonical_dumps({
             "outcome": self.status,
             "reason": self.reason,
             "labels": self.labeling,
@@ -81,10 +81,7 @@ class SearchOutcome(NamedTuple):
                 "elapsed_ms": self.stats.elapsed_ms,
                 "max_depth": self.stats.max_depth,
             },
-        }
-
-    def to_json(self) -> str:
-        return canonical_dumps(self.to_json_obj())
+        })
 
 
 def _placement_tables(g: Graph, order):

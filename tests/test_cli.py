@@ -172,6 +172,20 @@ def test_labeling_array_length_mismatch_exits_2(tmp_path, capsys, command,
     assert "length" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "export"])
+def test_wrong_length_labeling_reads_the_labeling_check(tmp_path, capsys,
+                                                        command):
+    # the commands check a labeling file's labels as the library does
+    gpath, lpath = gen_pair(tmp_path, capsys, 1, "n", 2, 1)
+    doc = json.loads(lpath.read_text())
+    doc["labels"].append(0)
+    lpath.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, command, str(gpath), str(lpath))
+    assert_one_error_line(code, stdout, err)
+    assert err == ("error: 9 labels for 8 vertices: a labeling's length is "
+                   "the vertex count\n")
+
+
 @pytest.mark.parametrize("fp", [5, None, ["x"]])
 @pytest.mark.parametrize("command", ["verify", "export"])
 def test_labeling_fingerprint_not_a_string_exits_2(tmp_path, capsys, command,

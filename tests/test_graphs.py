@@ -3,6 +3,7 @@
 import hashlib
 import json
 import re
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +11,12 @@ from hypothesis import strategies as st
 
 import oddgraceful
 from constructions import cartesian_product, subdivide
-from oddgraceful import (Family, Graph, build_theorem1, build_theorem2,
-                         build_theorem3, corona_pendants, cycle_graph,
-                         is_bipartite, ladder, path_graph, triangular_snake,
-                         two_coloring)
+from oddgraceful import (Family, Graph, SearchConfig, build_theorem1,
+                         build_theorem2, build_theorem3, corona_pendants,
+                         cycle_graph, is_bipartite, label_theorem1,
+                         label_theorem2, label_theorem3,
+                         labeling_from_json_obj, ladder, path_graph,
+                         triangular_snake, two_coloring, verify_odd_graceful)
 from oddgraceful.canon import canonical_dumps
 from oddgraceful.cli import parse_grid
 from oddgraceful.graphs import (MAX_THEOREM_Q, THEOREM_FAMILIES, IdOrder,
@@ -704,11 +707,79 @@ def test_graph_loader_names_an_edge_that_is_not_a_pair(edge):
     assert str(exc.value) == f"edge {edge!r} is not a pair of vertex ids"
 
 
+def test_graph_rejects_a_str_subclass_tag():
+    # to_json writes tags through %s, which calls __str__, so such a tag
+    # would be written as "other"; the constructor admits exact strs only
+    class Other(str):
+        def __str__(self):
+            return "other"
+
+    with pytest.raises(ValueError) as exc:
+        Graph([Other("a"), "b"], [])
+    assert str(exc.value) == "vertex 0 needs a non-empty string tag"
+
+
+class N(IntEnum):
+    ONE, TWO, THREE = 1, 2, 3
+
+
+class S(str):
+    pass
+
+
+def _theorem_gates(name, call):
+    return [(f"{name}-size", lambda x: call(x, 1), 2),
+            (f"{name}-m", lambda x: call(2, x), 1)]
+
+
+# every gate that admits an int or a str: (id, call, an exact value that
+# call accepts); the same value as an IntEnum member or a str subclass is
+# rejected
+GATES = [
+    ("Family-n", lambda x: Family("ladder", n=x), 2),
+    ("Family-k", lambda x: Family("ladder", k=x), 2),
+    ("Family-m", lambda x: Family("ladder", m=x), 2),
+    ("Graph-endpoint", lambda x: Graph(["a", "b", "c"], [(0, x)]), 2),
+    ("from_json_obj-id", lambda x: Graph.from_json_obj(
+        {"vertices": [{"id": 0, "tag": "a"}, {"id": x, "tag": "b"}],
+         "edges": []}), 1),
+    ("path_graph", path_graph, 2),
+    ("cycle_graph", cycle_graph, 3),
+    ("ladder", ladder, 2),
+    ("triangular_snake", triangular_snake, 2),
+    ("corona_pendants", lambda x: corona_pendants(path_graph(2), x), 1),
+    *_theorem_gates("build_theorem1", build_theorem1),
+    *_theorem_gates("build_theorem2", build_theorem2),
+    *_theorem_gates("build_theorem3", build_theorem3),
+    *_theorem_gates("label_theorem1", label_theorem1),
+    *_theorem_gates("label_theorem2", label_theorem2),
+    *_theorem_gates("label_theorem3", label_theorem3),
+    ("verify-labels", lambda x: verify_odd_graceful(path_graph(2), [0, x]),
+     1),
+    ("labeling_from_json_obj-labels", lambda x: labeling_from_json_obj(
+        {"graph_fingerprint": "f", "labels": [0, x]}), 1),
+    ("SearchConfig-nodes", lambda x: SearchConfig(node_budget=x), 1),
+    ("SearchConfig-time", lambda x: SearchConfig(time_budget_ms=x), 1),
+    ("Graph-tag", lambda x: Graph([x], []), "a"),
+    ("Family-kind", Family, "ladder"),
+    ("labeling_from_json_obj-fingerprint", lambda x: labeling_from_json_obj(
+        {"graph_fingerprint": x, "labels": []}), "f"),
+]
+
+
+@pytest.mark.parametrize("call, exact", [
+    pytest.param(call, exact, id=name) for name, call, exact in GATES])
+def test_gates_admit_exact_ints_and_strs_only(call, exact):
+    call(exact)
+    with pytest.raises(ValueError):
+        call(S(exact) if type(exact) is str else N(exact))
+
+
 @given(st.lists(st.sampled_from(["", "a", "b"]) | st.text(max_size=2)
                 | st.integers(0, 2) | st.none(), max_size=6))
 @settings(max_examples=200, deadline=None)
 def test_graph_constructor_accepts_only_tags_a_file_can_hold(tags):
-    good = (all(isinstance(t, str) and t for t in tags)
+    good = (all(type(t) is str and t for t in tags)
             and len(set(tags)) == len(tags))
     if not good:
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Every name a package module imports is used in that module, every
-private module-level name is used somewhere in the package, the package
+private module-level name is used somewhere in the package, no module tests
+a type with isinstance against int, bool or str, the package
 imports only the standard library and none of its slow-to-import modules
 that it does not need, and the README's library example and command-line
 block run."""
@@ -80,6 +81,34 @@ def test_unreferenced_private_names_are_detected():
 def test_every_private_name_is_referenced():
     sources = [p.read_text(encoding="utf-8") for p in MODULES]
     assert unreferenced_private_names(sources) == []
+
+
+def loose_type_tests(source: str):
+    """Line numbers of isinstance calls against int, bool or str, alone or
+    in a tuple: an int is exactly an int (graphs._is_int) and a str exactly
+    a str, so isinstance, which admits subclasses, states a second rule."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            kinds = node.args[1]
+            names = kinds.elts if isinstance(kinds, ast.Tuple) else [kinds]
+            if any(isinstance(n, ast.Name) and n.id in {"int", "bool", "str"}
+                   for n in names):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_loose_type_tests_are_detected():
+    assert loose_type_tests(
+        "isinstance(x, int)\nisinstance(x, dict)\n"
+        "isinstance(x, (list, bool))\nnot isinstance(x, str)\n"
+        "isinstance(x, (Graph, tuple))\ntype(x) is int\n") == [1, 3, 4]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_module_tests_int_and_str_by_exact_type(path):
+    assert loose_type_tests(path.read_text(encoding="utf-8")) == []
 
 
 def non_stdlib_imports(source: str):
