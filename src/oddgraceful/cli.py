@@ -21,9 +21,8 @@ import sys
 from .formulas import label_theorem1, label_theorem2, label_theorem3
 from .graphs import (THEOREM_FAMILIES, Graph, build_theorem1, build_theorem2,
                      build_theorem3, theorem_order)
-from .labeling import (_check_labeling, first_violation,
-                       labeling_from_json_obj, labeling_to_json,
-                       verify_odd_graceful)
+from .labeling import (first_violation, labeling_from_json_obj,
+                       labeling_to_json, verify_odd_graceful)
 from .search import SearchConfig, find_odd_graceful
 
 FAMILIES = tuple(f.kind for f in THEOREM_FAMILIES.values())  # theorem 1 first
@@ -46,6 +45,7 @@ SWEEP_DEFAULT_NODE_BUDGET = 100_000
 
 
 def _load_json(path: str):
+    """The JSON in the file at path: the one place that parses file text."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
@@ -55,16 +55,6 @@ def _load_json(path: str):
 
 def _load_graph(path: str) -> Graph:
     return Graph.from_json_obj(_load_json(path))
-
-
-def _load_labeling(path: str, g: Graph):
-    """Labels of a labeling file, raising ValueError unless the file is bound
-    to g by its fingerprint and is a labeling of g (see _check_labeling)."""
-    fp, labels = labeling_from_json_obj(_load_json(path))
-    if fp != g.fingerprint():
-        raise ValueError("labeling fingerprint does not match the graph")
-    _check_labeling(g, labels)
-    return labels
 
 
 def _write_outputs(*files) -> int:
@@ -115,7 +105,7 @@ def cmd_label(args) -> int:
 
 def cmd_verify(args) -> int:
     g = _load_graph(args.graph)
-    labels = _load_labeling(args.labeling, g)
+    labels = labeling_from_json_obj(g, _load_json(args.labeling))
     report = verify_odd_graceful(g, labels)
     sys.stdout.write(report.to_json(g))
     return 0 if report.ok else 1
@@ -289,7 +279,8 @@ def cmd_sweep(args) -> int:
 
 def cmd_export(args) -> int:
     g = _load_graph(args.graph)
-    labels = _load_labeling(args.labeling, g) if args.labeling else None
+    labels = (labeling_from_json_obj(g, _load_json(args.labeling))
+              if args.labeling else None)
     if args.format == "json":
         sys.stdout.write(g.to_json())
         return 0

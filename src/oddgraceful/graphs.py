@@ -64,18 +64,6 @@ class Family(namedtuple("Family", "kind n k m", defaults=(None,) * 3)):
     def _make(cls, fields):
         return cls(*fields)  # so that _replace checks its fields too
 
-    def to_json_obj(self) -> dict:
-        obj = {"kind": self.kind, "n": self.n, "k": self.k, "m": self.m}
-        return {key: value for key, value in obj.items() if value is not None}
-
-    @staticmethod
-    def from_json_obj(obj: dict) -> "Family":
-        """Parse a family object; n, k and m may be absent."""
-        if not isinstance(obj, dict):
-            raise ValueError("family object needs a string 'kind' field")
-        return Family(obj.get("kind"), obj.get("n"), obj.get("k"),
-                      obj.get("m"))
-
 
 class Graph:
     """Immutable undirected graph over dense vertex ids 0..p-1 with tags.
@@ -119,7 +107,7 @@ class Graph:
         return self._tags
 
     def tag(self, v: int) -> str:
-        """The tag of vertex v; IndexError unless 0 <= v < p."""
+        """The tag of vertex v; IndexError unless v is an int in 0..p-1."""
         if self._tags is None:
             return self._order.tag(v)
         _check_id(v, self.p)
@@ -144,6 +132,8 @@ class Graph:
         return self._adj
 
     def degree(self, v: int) -> int:
+        """Neighbor count of v; IndexError unless v is an int in 0..p-1."""
+        _check_id(v, self.p)
         return len(self.adjacency()[v])
 
     def __eq__(self, other):
@@ -162,7 +152,8 @@ class Graph:
 
     def to_json(self) -> str:
         """Canonical graph JSON written directly, byte for byte canonical_dumps
-        of {"edges", "family", "vertices": [{"id", "tag"}, ...]}.
+        of {"edges", "family", "vertices": [{"id", "tag"}, ...]}, where the
+        family is null or an object of its fields that are not None.
 
         Each array is one % format over a flat tuple: the edge endpoints, and
         the vertex ids interleaved with the tags.  The tags are written as is
@@ -181,7 +172,9 @@ class Graph:
         fields = [None] * (2 * self.p)
         fields[::2], fields[1::2] = range(self.p), tags
         vertices = (entry * self.p % tuple(fields))[:-1]
-        family = self.family.to_json_obj() if self.family else None
+        family = None if self.family is None else {
+            key: value for key, value in self.family._asdict().items()
+            if value is not None}
         return (f'{{"edges":[{edges}],"family":{canonical_dumps(family)[:-1]},'
                 f'"vertices":[{vertices}]}}\n')
 
@@ -196,10 +189,10 @@ class Graph:
 
         Checks only the document's shape: 'vertices' and 'edges' arrays,
         vertex entries objects with dense int ids (bools and floats are
-        rejected), edges arrays and 'family' absent, null or an object.
-        Graph and Family check the tags, that each edge is a pair of int
-        endpoints and the family's fields, as for any graph.  Tags are kept
-        exactly as written.
+        rejected), edges arrays and 'family' absent, null or an object,
+        whose n, k and m may be absent.  Graph and Family check the tags,
+        that each edge is a pair of int endpoints and the family's fields,
+        as for any graph.  Tags are kept exactly as written.
         """
         if not isinstance(obj, dict):
             raise ValueError("graph document must be a JSON object")
@@ -217,13 +210,12 @@ class Graph:
         for e in edges:
             if not isinstance(e, list):
                 raise ValueError(f"edge {e!r} is not a pair of vertex ids")
-        fam = obj.get("family")
-        family = Family.from_json_obj(fam) if fam is not None else None
+        family = obj.get("family")
+        if family is not None:
+            if not isinstance(family, dict):
+                raise ValueError("family object needs a string 'kind' field")
+            family = Family(*map(family.get, Family._fields))
         return Graph(tags, edges, family)
-
-    @staticmethod
-    def from_json(text: str) -> "Graph":
-        return Graph.from_json_obj(json.loads(text))
 
 
 def _is_int(x) -> bool:
@@ -232,7 +224,7 @@ def _is_int(x) -> bool:
 
 
 def _check_id(v: int, p: int) -> None:
-    if not 0 <= v < p:
+    if not (_is_int(v) and 0 <= v < p):
         raise IndexError(f"vertex id {v} is not in 0..{p - 1}")
 
 
@@ -464,7 +456,7 @@ class IdOrder:
         return range(first, first + len(indices) * step, step)
 
     def tag(self, v: int) -> str:
-        """The tag of the vertex with id v; IndexError unless 0 <= v < p."""
+        """The tag of vertex v; IndexError unless v is an int in 0..p-1."""
         _check_id(v, self.p)
         if v >= self.p0:
             parent, j = divmod(v - self.p0, self.m)

@@ -64,16 +64,6 @@ class Violation(NamedTuple):
         return (_KIND_RANK[self.kind], self.vertex_ids, self.edge_ids,
                 -1 if self.label is None else self.label)
 
-    def to_json_obj(self, g: Graph) -> dict:
-        return {
-            "kind": self.kind,
-            "vertices": [g.tag(v) for v in self.vertex_ids],
-            "vertex_ids": self.vertex_ids,
-            "edges": [[g.tag(a), g.tag(b)] for a, b in self.edge_ids],
-            "edge_ids": self.edge_ids,
-            "label": self.label,
-        }
-
     def short(self, g: Graph) -> str:
         """Compact comma-free rendering used in sweep CSV cells.
 
@@ -101,10 +91,19 @@ class VerificationReport(NamedTuple):
     violations: Tuple[Violation, ...] = ()
 
     def to_json(self, g: Graph) -> str:
+        """The report, each violation's ids also given as tags of g."""
+        tag = g.tag
         return canonical_dumps({
             "ok": self.ok,
             "q": self.q,
-            "violations": [v.to_json_obj(g) for v in self.violations],
+            "violations": [{
+                "kind": v.kind,
+                "vertices": list(map(tag, v.vertex_ids)),
+                "vertex_ids": v.vertex_ids,
+                "edges": [[tag(a), tag(b)] for a, b in v.edge_ids],
+                "edge_ids": v.edge_ids,
+                "label": v.label,
+            } for v in self.violations],
         })
 
 
@@ -251,21 +250,22 @@ def labeling_to_json(g: Graph, labels: Labeling) -> str:
                             "labels": labels})
 
 
-def labeling_from_json_obj(obj: dict) -> Tuple[str, Labeling]:
-    """Parse a labeling file into (fingerprint, labels)."""
+def labeling_from_json_obj(g: Graph, obj: dict) -> Labeling:
+    """The labels of a labeling document for g, raising ValueError unless the
+    document has its shape, is bound to g by its fingerprint and holds a
+    labeling of g (see _check_labeling)."""
     if not isinstance(obj, dict):
         raise ValueError("labeling document must be a JSON object")
     try:
-        fp = obj["graph_fingerprint"]
-        arr = obj["labels"]
+        fp, labels = obj["graph_fingerprint"], obj["labels"]
     except KeyError as exc:
         raise ValueError(
             "labeling document needs 'graph_fingerprint' and 'labels'") from exc
     if type(fp) is not str:
         raise ValueError("'graph_fingerprint' must be a string")
-    if not isinstance(arr, list):
+    if not isinstance(labels, list):  # _check_labeling raises TypeError
         raise ValueError("'labels' must be an array indexed by vertex id")
-    for v, x in enumerate(arr):
-        if x is not None and not _is_int(x):
-            raise ValueError(f"label at index {v} is not an integer")
-    return fp, arr
+    if fp != g.fingerprint():
+        raise ValueError("labeling fingerprint does not match the graph")
+    _check_labeling(g, labels)
+    return labels

@@ -30,7 +30,7 @@ def test_gen_writes_canonical_graph(tmp_path, capsys):
                      "--m", "1", "--out", str(out))
     assert code == 0
     text = out.read_text()
-    g = Graph.from_json(text)
+    g = Graph.from_json_obj(json.loads(text))
     assert (g.p, g.q) == (8, 8)
     assert g.to_json() == text  # byte-identical round trip
 
@@ -40,12 +40,12 @@ def test_gen_families(tmp_path, capsys):
     code, _, _ = run(capsys, "gen", "--family", "sub-ladder", "--n", "3",
                      "--m", "1", "--out", str(out))
     assert code == 0
-    g = Graph.from_json(out.read_text())
+    g = Graph.from_json_obj(json.loads(out.read_text()))
     assert (g.p, g.q) == (26, 27)
     code, _, _ = run(capsys, "gen", "--family", "sub-tri-snake", "--k", "1",
                      "--m", "1", "--out", str(out))
     assert code == 0
-    g = Graph.from_json(out.read_text())
+    g = Graph.from_json_obj(json.loads(out.read_text()))
     assert (g.p, g.q) == (12, 12)
 
 
@@ -184,6 +184,19 @@ def test_wrong_length_labeling_reads_the_labeling_check(tmp_path, capsys,
     assert_one_error_line(code, stdout, err)
     assert err == ("error: 9 labels for 8 vertices: a labeling's length is "
                    "the vertex count\n")
+
+
+@pytest.mark.parametrize("command", ["verify", "export"])
+def test_wrong_type_label_is_named_once(tmp_path, capsys, command):
+    # the label types of a labeling file are checked once, by the check
+    # every labeling meets
+    gpath, lpath = gen_pair(tmp_path, capsys, 1, "n", 2, 1)
+    doc = json.loads(lpath.read_text())
+    doc["labels"][1] = "y"
+    lpath.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, command, str(gpath), str(lpath))
+    assert_one_error_line(code, stdout, err)
+    assert err == "error: vertex 1 has label 'y', not an int or None\n"
 
 
 @pytest.mark.parametrize("fp", [5, None, ["x"]])

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 
 import oddgraceful
 from constructions import cartesian_product, subdivide
-from oddgraceful import (Family, Graph, SearchConfig, build_theorem1,
-                         build_theorem2, build_theorem3, corona_pendants,
-                         cycle_graph, is_bipartite, label_theorem1,
-                         label_theorem2, label_theorem3,
+from oddgraceful import (Family, Graph, SearchConfig, Violation,
+                         build_theorem1, build_theorem2, build_theorem3,
+                         corona_pendants, cycle_graph, is_bipartite,
+                         label_theorem1, label_theorem2, label_theorem3,
                          labeling_from_json_obj, ladder, path_graph,
                          triangular_snake, two_coloring, verify_odd_graceful)
 from oddgraceful.canon import canonical_dumps
@@ -75,7 +75,7 @@ def test_corona_pendants_rejects_negative_count():
 
 
 # a constructor that derives tags must not build a graph whose file
-# Graph.from_json rejects for a repeated tag
+# Graph.from_json_obj rejects for a repeated tag
 @pytest.mark.parametrize("build, tag", [
     (lambda: subdivide(Graph(["a", "b", "s(a,b)"], [(0, 1)])), "s(a,b)"),
     (lambda: cartesian_product(Graph(["a", "a,b"], []),
@@ -395,7 +395,8 @@ def test_builders_match_golden_graph_digest():
 def test_tag_rejects_ids_outside_the_graph():
     # a built graph formats tags from its IdOrder until tags is first read;
     # a graph read from a file holds them in a tuple, where -1 would index
-    eager = Graph.from_json(build_theorem1(3, 1).to_json())
+    eager = Graph.from_json_obj(
+        json.loads(build_theorem1(3, 1).to_json()))
     for g in (build_theorem1(3, 1), ladder(3), eager, path_graph(2)):
         for v in (g.p, g.p + 1, -1, -g.p):
             with pytest.raises(IndexError):
@@ -406,6 +407,28 @@ def test_tag_rejects_ids_outside_the_graph():
     for v in (12, -1):
         with pytest.raises(IndexError):
             order.tag(v)
+
+
+def _theorem_graph_with_tags_read():
+    g = build_theorem1(2, 1)
+    assert g.tags[5] == "p(u2,1)"
+    return g
+
+
+@pytest.mark.parametrize("method", ["tag", "degree"])
+@pytest.mark.parametrize("make", [
+    lambda: build_theorem1(2, 1), _theorem_graph_with_tags_read,
+    lambda: Graph.from_json_obj(json.loads(build_theorem1(2, 1).to_json())),
+], ids=["fresh", "tags-read", "loaded"])
+@pytest.mark.parametrize("v", [1.0, 5.5, True, -1, "p"])
+def test_vertex_id_is_an_exact_int_in_range(method, make, v):
+    # a float or a bool id once read tag 'u2.0', 'p(u2.0,1.5)' or 'u2' off
+    # a fresh theorem graph, and degree(-1) the degree of vertex p-1
+    g = make()
+    v = g.p if v == "p" else v
+    with pytest.raises(IndexError) as exc:
+        getattr(g, method)(v)
+    assert str(exc.value) == f"vertex id {v} is not in 0..{g.p - 1}"
 
 
 def test_construction_determinism():
@@ -547,6 +570,15 @@ def test_package_exports_resolve_without_tag_api():
     assert not [name for name in removed if hasattr(oddgraceful, name)]
 
 
+def test_file_formats_have_one_reader_and_one_writer():
+    # Graph.to_json and Graph.from_json_obj alone know the family object's
+    # file form, and VerificationReport.to_json a violation's
+    removed = [(Graph, "from_json"), (Family, "to_json_obj"),
+               (Family, "from_json_obj"), (Violation, "to_json_obj")]
+    assert not [(cls.__name__, name) for cls, name in removed
+                if hasattr(cls, name)]
+
+
 def test_graph_json_round_trip_byte_identical():
     # corona twice: v1 gets pendants p(v1,1) and then p(v1,2)
     twice = corona_pendants(corona_pendants(path_graph(1), 1), 1)
@@ -554,7 +586,7 @@ def test_graph_json_round_trip_byte_identical():
     for g in (ladder(3), build_theorem1(2, 1), build_theorem2(2, 1),
               build_theorem3(2, 2), subdivide(triangular_snake(2)), twice):
         text = g.to_json()
-        back = Graph.from_json(text)
+        back = Graph.from_json_obj(json.loads(text))
         assert back == g
         assert back.to_json() == text
         assert back.fingerprint() == g.fingerprint()
@@ -570,9 +602,10 @@ def test_graph_json_edges_sorted_small_id_first():
 
 def test_graph_json_rejects_malformed():
     with pytest.raises(ValueError):
-        Graph.from_json('{"vertices": [{"id": 1, "tag": "v1"}], "edges": []}')
+        Graph.from_json_obj(json.loads(
+            '{"vertices": [{"id": 1, "tag": "v1"}], "edges": []}'))
     with pytest.raises(ValueError):
-        Graph.from_json('{"edges": []}')
+        Graph.from_json_obj(json.loads('{"edges": []}'))
 
 
 def _vertex_not_object(doc):
@@ -657,13 +690,21 @@ def test_graph_loader_rejects_malformed_document(break_doc):
 ], ids=["n-bool", "k-float", "m-str", "kind-int"])
 def test_family_constructor_rejects_what_the_loader_rejects(fields, message):
     # otherwise a graph carrying such a family writes a file that
-    # Graph.from_json cannot read back
+    # Graph.from_json_obj cannot read back
     with pytest.raises(ValueError, match=re.escape(message)):
         Family(**fields)
     with pytest.raises(ValueError, match=re.escape(message)):
-        Family.from_json_obj(fields)
+        Graph.from_json_obj({"vertices": [], "edges": [], "family": fields})
     with pytest.raises(ValueError, match=re.escape(message)):
         Family("ladder")._replace(**fields)
+
+
+@pytest.mark.parametrize("family", ["ladder", ["ladder"], 3, True])
+def test_graph_loader_rejects_a_family_that_is_not_an_object(family):
+    doc = {"vertices": [], "edges": [], "family": family}
+    with pytest.raises(ValueError) as exc:
+        Graph.from_json_obj(doc)
+    assert str(exc.value) == "family object needs a string 'kind' field"
 
 
 @pytest.mark.parametrize("tags, message", [
@@ -674,8 +715,8 @@ def test_family_constructor_rejects_what_the_loader_rejects(fields, message):
     (["a", "b", 7, "a"], "vertex 2 needs a non-empty string tag"),
 ], ids=["ints", "repeat", "empty", "none", "first-in-id-order"])
 def test_graph_constructor_rejects_what_the_loader_rejects(tags, message):
-    # otherwise Graph builds a graph whose file Graph.from_json rejects, or
-    # whose to_json raises
+    # otherwise Graph builds a graph whose file Graph.from_json_obj rejects,
+    # or whose to_json raises
     doc = {"vertices": [{"id": i, "tag": t} for i, t in enumerate(tags)],
            "edges": []}
     for load in (lambda: Graph(tags, []), lambda: Graph.from_json_obj(doc)):
@@ -727,6 +768,9 @@ class S(str):
     pass
 
 
+P2 = path_graph(2)
+
+
 def _theorem_gates(name, call):
     return [(f"{name}-size", lambda x: call(x, 1), 2),
             (f"{name}-m", lambda x: call(2, x), 1)]
@@ -757,13 +801,13 @@ GATES = [
     ("verify-labels", lambda x: verify_odd_graceful(path_graph(2), [0, x]),
      1),
     ("labeling_from_json_obj-labels", lambda x: labeling_from_json_obj(
-        {"graph_fingerprint": "f", "labels": [0, x]}), 1),
+        P2, {"graph_fingerprint": P2.fingerprint(), "labels": [0, x]}), 1),
     ("SearchConfig-nodes", lambda x: SearchConfig(node_budget=x), 1),
     ("SearchConfig-time", lambda x: SearchConfig(time_budget_ms=x), 1),
     ("Graph-tag", lambda x: Graph([x], []), "a"),
     ("Family-kind", Family, "ladder"),
     ("labeling_from_json_obj-fingerprint", lambda x: labeling_from_json_obj(
-        {"graph_fingerprint": x, "labels": []}), "f"),
+        P2, {"graph_fingerprint": x, "labels": [0, 1]}), P2.fingerprint()),
 ]
 
 
@@ -786,7 +830,7 @@ def test_graph_constructor_accepts_only_tags_a_file_can_hold(tags):
             Graph(tags, [])
         return
     g = Graph(tags, [])
-    assert Graph.from_json(g.to_json()) == g
+    assert Graph.from_json_obj(json.loads(g.to_json())) == g
 
 
 @st.composite
@@ -822,7 +866,7 @@ def test_corona_degree_property(g, m):
 @settings(max_examples=60, deadline=None)
 def test_graph_json_round_trip_property(g):
     text = g.to_json()
-    assert Graph.from_json(text).to_json() == text
+    assert Graph.from_json_obj(json.loads(text)).to_json() == text
 
 
 _sizes = st.none() | st.integers()
@@ -847,7 +891,7 @@ def tagged_graphs(draw):
 def test_graph_json_is_canonical_json(g):
     text = g.to_json()
     assert canonical_dumps(json.loads(text)) == text
-    assert Graph.from_json(text) == g
+    assert Graph.from_json_obj(json.loads(text)) == g
 
 
 def test_graph_json_exact_text():
@@ -867,9 +911,14 @@ def test_graph_json_exact_text():
 def _reference_graph_json(g):
     """The graph file as canonical_dumps writes its dict form: the text
     Graph.to_json must match byte for byte."""
+    fam = g.family
+    family = None if fam is None else {
+        key: value for key, value in [("kind", fam.kind), ("n", fam.n),
+                                      ("k", fam.k), ("m", fam.m)]
+        if value is not None}
     return canonical_dumps({
         "edges": [list(e) for e in g.edges],
-        "family": g.family.to_json_obj() if g.family else None,
+        "family": family,
         "vertices": [{"id": i, "tag": t} for i, t in enumerate(g.tags)]})
 
 

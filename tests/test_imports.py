@@ -1,9 +1,9 @@
 """Every name a package module imports is used in that module, every
 private module-level name is used somewhere in the package, no module tests
-a type with isinstance against int, bool or str, the package
-imports only the standard library and none of its slow-to-import modules
-that it does not need, and the README's library example and command-line
-block run."""
+a type with isinstance against int, bool or str, no file format has a
+second reader or writer, the package imports only the standard library and
+none of its slow-to-import modules that it does not need, and the README's
+library example and command-line block run."""
 
 import ast
 import os
@@ -109,6 +109,53 @@ def test_loose_type_tests_are_detected():
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
 def test_module_tests_int_and_str_by_exact_type(path):
     assert loose_type_tests(path.read_text(encoding="utf-8")) == []
+
+
+def file_format_breaches(source: str, reader: str = None):
+    """Line numbers that give a file a second reader or writer: a
+    definition named to_json_obj or from_json, and a reference to json.load
+    or json.loads, or an import of either from json, anywhere but inside
+    the top-level function named reader."""
+    tree = ast.parse(source)
+    allowed = set()
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef) and stmt.name == reader:
+            allowed = set(map(id, ast.walk(stmt)))
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name in {"to_json_obj", "from_json"}:
+                lines.append(node.lineno)
+        elif (isinstance(node, ast.Attribute) and node.attr in {"load", "loads"}
+              and isinstance(node.value, ast.Name) and node.value.id == "json"
+              and id(node) not in allowed):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "json" and {
+                alias.name for alias in node.names} & {"load", "loads"}:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_file_format_breaches_are_detected():
+    source = ("import json\nfrom json import loads as parse\n"
+              "def _load_json(fh):\n    return json.load(fh)\n"
+              "def other(text):\n    return json.loads(text)\n"
+              "class R:\n    def to_json_obj(self):\n        return {}\n"
+              "    @staticmethod\n    def from_json(t):\n"
+              "        return R(json.loads(t))\n"
+              "read = json.load\njson.dumps({})\n"
+              "def from_json_obj(obj):\n    return obj\n")
+    assert file_format_breaches(source, "_load_json") == [2, 6, 8, 11, 12, 13]
+    assert file_format_breaches(source) == [2, 4, 6, 8, 11, 12, 13]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_one_reader_and_one_writer_per_file(path):
+    # cli._load_json is the one place that parses file text, and no record
+    # keeps a dict form beside its to_json
+    reader = "_load_json" if path.name == "cli.py" else None
+    assert file_format_breaches(path.read_text(encoding="utf-8"),
+                                reader) == []
 
 
 def non_stdlib_imports(source: str):

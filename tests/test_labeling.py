@@ -168,9 +168,9 @@ def test_labeling_json_round_trip_with_missing_labels():
     labels = [4, None, 1]
     text = labeling_to_json(g, labels)
     obj = json.loads(text)
-    assert obj["labels"] == [4, None, 1]
-    fp, back = labeling_from_json_obj(obj)
-    assert fp == g.fingerprint() and back == labels
+    assert obj == {"graph_fingerprint": g.fingerprint(),
+                   "labels": [4, None, 1]}
+    assert labeling_from_json_obj(g, obj) == labels
 
 
 @pytest.mark.parametrize("labels", [[0], [0, 1, 99], []])
@@ -205,14 +205,52 @@ def test_dict_labeling_is_rejected():
 
 
 def test_labeling_json_rejects_malformed():
+    g = path_graph(2)
+    fp = g.fingerprint()
     with pytest.raises(ValueError):
-        labeling_from_json_obj({"labels": [0]})
+        labeling_from_json_obj(g, {"labels": [0, 1]})
     with pytest.raises(ValueError):
-        labeling_from_json_obj({"graph_fingerprint": "x", "labels": [0, "y"]})
+        labeling_from_json_obj(g, {"graph_fingerprint": fp,
+                                   "labels": [0, "y"]})
     with pytest.raises(ValueError):
-        labeling_from_json_obj({"graph_fingerprint": "x", "labels": 3})
+        labeling_from_json_obj(g, {"graph_fingerprint": fp, "labels": 3})
     with pytest.raises(ValueError, match="'graph_fingerprint' must be a"):
-        labeling_from_json_obj({"graph_fingerprint": 5, "labels": []})
+        labeling_from_json_obj(g, {"graph_fingerprint": 5, "labels": [0, 1]})
+
+
+# a labeling document for path_graph(2), with one field replaced, and the
+# reader's whole message; the fingerprint is filled in by the test
+@pytest.mark.parametrize("field, value, message", [
+    ("graph_fingerprint", "0" * 64,
+     "labeling fingerprint does not match the graph"),
+    ("graph_fingerprint", None, "'graph_fingerprint' must be a string"),
+    ("labels", {"0": 0, "1": 1},
+     "'labels' must be an array indexed by vertex id"),
+    ("labels", "01", "'labels' must be an array indexed by vertex id"),
+    ("labels", [0, "y"], "vertex 1 has label 'y', not an int or None"),
+    ("labels", [0, 1.0], "vertex 1 has label 1.0, not an int or None"),
+    ("labels", [0], "1 labels for 2 vertices: a labeling's length is the "
+                    "vertex count"),
+], ids=["other-graph", "fingerprint-null", "labels-object", "labels-string",
+        "label-string", "label-float", "short"])
+def test_labeling_reader_names_the_first_fault_once(field, value, message):
+    g = path_graph(2)
+    doc = {"graph_fingerprint": g.fingerprint(), "labels": [0, 1]}
+    doc[field] = value
+    with pytest.raises(ValueError) as exc:  # never TypeError
+        labeling_from_json_obj(g, doc)
+    assert str(exc.value) == message
+
+
+def test_labeling_reader_checks_the_binding_before_the_labels():
+    # a file for another graph is named as such, even when its labels would
+    # not fit this one
+    g, other = path_graph(2), path_graph(3)
+    doc = json.loads(labeling_to_json(other, [0, 1, 2]))
+    with pytest.raises(ValueError,
+                       match="^labeling fingerprint does not match the graph$"):
+        labeling_from_json_obj(g, doc)
+    assert labeling_from_json_obj(other, doc) == [0, 1, 2]
 
 
 @st.composite
