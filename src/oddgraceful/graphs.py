@@ -76,14 +76,15 @@ class Graph:
     family that is neither None nor a Family; the message names the first
     offending tag in id order, or edge in input order.  The edge checks run
     as whole-list passes, so they cost a few C-level scans and one sort of
-    the edge list.  The adjacency is computed on first use and kept.
+    the edge list.  The adjacency and the canonical JSON text are each
+    computed on first use and kept.
 
     tags is a sequence of strings, or the IdOrder of a theorem graph, which
     then formats its tags on first read of `tags` and keeps them; tag(v)
     reads one tag without formatting the others.
     """
 
-    __slots__ = ("p", "edges", "family", "_tags", "_order", "_adj")
+    __slots__ = ("p", "edges", "family", "_tags", "_order", "_adj", "_json")
 
     def __init__(self, tags: Union[Sequence[str], IdOrder],
                  edges: Iterable[tuple], family: Optional[Family] = None):
@@ -97,7 +98,7 @@ class Graph:
         if family is not None and not isinstance(family, Family):
             raise ValueError(f"graph family {family!r} is not a Family")
         self.family = family
-        self._adj = None
+        self._adj = self._json = None
 
     @property
     def tags(self) -> tuple:
@@ -131,11 +132,6 @@ class Graph:
             self._adj = tuple(map(tuple, adj))
         return self._adj
 
-    def degree(self, v: int) -> int:
-        """Neighbor count of v; IndexError unless v is an int in 0..p-1."""
-        _check_id(v, self.p)
-        return len(self.adjacency()[v])
-
     def __eq__(self, other):
         if not isinstance(other, Graph):
             return NotImplemented
@@ -151,6 +147,14 @@ class Graph:
     # -- file format ------------------------------------------------------
 
     def to_json(self) -> str:
+        """Canonical graph JSON, written on the first call and kept: every
+        later call returns the same str.  The fingerprint, and so the
+        labeling file, reuse it."""
+        if self._json is None:
+            self._json = self._write_json()
+        return self._json
+
+    def _write_json(self) -> str:
         """Canonical graph JSON written directly, byte for byte canonical_dumps
         of {"edges", "family", "vertices": [{"id", "tag"}, ...]}, where the
         family is null or an object of its fields that are not None.
@@ -190,12 +194,15 @@ class Graph:
         Checks only the document's shape: 'vertices' and 'edges' arrays,
         vertex entries objects with dense int ids (bools and floats are
         rejected), edges arrays and 'family' absent, null or an object,
-        whose n, k and m may be absent.  Graph and Family check the tags,
-        that each edge is a pair of int endpoints and the family's fields,
-        as for any graph.  Tags are kept exactly as written.
+        whose n, k and m may be absent.  The document, each vertex entry
+        and the family object hold no key that the writer does not write.
+        Graph and Family check the tags, that each edge is a pair of int
+        endpoints and the family's fields, as for any graph.  Tags are kept
+        exactly as written.
         """
         if not isinstance(obj, dict):
             raise ValueError("graph document must be a JSON object")
+        _reject_unknown_keys(obj, _GRAPH_KEYS, "graph document")
         vertices, edges = obj.get("vertices"), obj.get("edges")
         if not isinstance(vertices, list) or not isinstance(edges, list):
             raise ValueError(
@@ -204,6 +211,8 @@ class Graph:
         for i, entry in enumerate(vertices):
             if not isinstance(entry, dict):
                 raise ValueError(f"vertex entry {i} is not an object")
+            if not entry.keys() <= _VERTEX_KEYS:
+                _reject_unknown_keys(entry, _VERTEX_KEYS, f"vertex entry {i}")
             if not _is_int(entry.get("id")) or entry["id"] != i:
                 raise ValueError("vertex ids must be dense 0..p-1 in order")
             tags.append(entry.get("tag"))
@@ -214,8 +223,21 @@ class Graph:
         if family is not None:
             if not isinstance(family, dict):
                 raise ValueError("family object needs a string 'kind' field")
+            _reject_unknown_keys(family, Family._fields, "family object")
             family = Family(*map(family.get, Family._fields))
         return Graph(tags, edges, family)
+
+
+# the keys of a graph document and of one of its vertex entries
+_GRAPH_KEYS, _VERTEX_KEYS = {"edges", "family", "vertices"}, {"id", "tag"}
+
+
+def _reject_unknown_keys(obj: dict, known, where: str) -> None:
+    """Raise ValueError naming the first key of obj, in its order, that is
+    not in known; where names obj in the message."""
+    for key in obj:
+        if key not in known:
+            raise ValueError(f"{where} has an unknown key {key!r}")
 
 
 def _is_int(x) -> bool:
@@ -562,12 +584,6 @@ def _walk(g: Graph, roots: Iterable[int]):
     return order, colors, components
 
 
-def two_coloring(g: Graph):
-    """BFS 2-coloring from the roots in id order: list of 0/1 colors, or
-    None if some component has an odd cycle."""
-    walk = _walk(g, range(g.p))
-    return None if walk is None else walk[1]
-
-
 def is_bipartite(g: Graph) -> bool:
-    return two_coloring(g) is not None
+    """Whether g has no odd cycle."""
+    return _walk(g, range(g.p)) is not None

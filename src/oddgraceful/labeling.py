@@ -24,7 +24,7 @@ from operator import not_
 from typing import List, NamedTuple, Optional, Tuple
 
 from .canon import canonical_dumps
-from .graphs import Graph, _is_int
+from .graphs import Graph, _is_int, _reject_unknown_keys
 
 Labeling = List[Optional[int]]
 
@@ -252,10 +252,12 @@ def labeling_to_json(g: Graph, labels: Labeling) -> str:
 
 def labeling_from_json_obj(g: Graph, obj: dict) -> Labeling:
     """The labels of a labeling document for g, raising ValueError unless the
-    document has its shape, is bound to g by its fingerprint and holds a
-    labeling of g (see _check_labeling)."""
+    document has its shape (its two keys and no other), is bound to g by its
+    fingerprint and holds a labeling of g (see _check_labeling)."""
     if not isinstance(obj, dict):
         raise ValueError("labeling document must be a JSON object")
+    _reject_unknown_keys(obj, ("graph_fingerprint", "labels"),
+                         "labeling document")
     try:
         fp, labels = obj["graph_fingerprint"], obj["labels"]
     except KeyError as exc:

@@ -1,8 +1,24 @@
 """Reference constructions that the graph tests compare the theorem builders
-against.  The package never calls them, so they live with the tests; the
-Graph constructor rejects any repeated tag they derive."""
+against, and the degree and 2-coloring that the tests read off a graph.  The
+package never calls them, so they live with the tests; the Graph constructor
+rejects any repeated tag they derive."""
 
 from oddgraceful import Graph
+from oddgraceful.graphs import _walk
+
+
+def degree(g: Graph, v: int) -> int:
+    """Neighbor count of v; IndexError, from g.tag, unless v is an int in
+    0..p-1."""
+    g.tag(v)
+    return len(g.adjacency()[v])
+
+
+def two_coloring(g: Graph):
+    """The 0/1 colors of the package's BFS from the roots in id order, or
+    None if some component has an odd cycle."""
+    walk = _walk(g, range(g.p))
+    return None if walk is None else walk[1]
 
 
 def cartesian_product(g1: Graph, g2: Graph) -> Graph:

@@ -199,6 +199,26 @@ def test_wrong_type_label_is_named_once(tmp_path, capsys, command):
     assert err == "error: vertex 1 has label 'y', not an int or None\n"
 
 
+@pytest.mark.parametrize("file, message", [
+    ("graph", "error: family object has an unknown key 'M'\n"),
+    ("labeling", "error: labeling document has an unknown key 'label'\n"),
+])
+@pytest.mark.parametrize("command", ["verify", "export"])
+def test_unknown_key_is_named(tmp_path, capsys, command, file, message):
+    # a misspelled key is an error, not a field read as absent
+    gpath, lpath = gen_pair(tmp_path, capsys, 1, "n", 2, 1)
+    path = gpath if file == "graph" else lpath
+    doc = json.loads(path.read_text())
+    if file == "graph":
+        doc["family"]["M"] = doc["family"].pop("m")
+    else:
+        doc["label"] = doc["labels"]
+    path.write_text(json.dumps(doc))
+    code, stdout, err = run(capsys, command, str(gpath), str(lpath))
+    assert_one_error_line(code, stdout, err)
+    assert err == message
+
+
 @pytest.mark.parametrize("fp", [5, None, ["x"]])
 @pytest.mark.parametrize("command", ["verify", "export"])
 def test_labeling_fingerprint_not_a_string_exits_2(tmp_path, capsys, command,

@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, every
 private module-level name is used somewhere in the package, no module tests
 a type with isinstance against int, bool or str, no file format has a
-second reader or writer, the package imports only the standard library and
+second reader or writer, only Graph.to_json calls the graph writer, the
+package imports only the standard library and
 none of its slow-to-import modules that it does not need, and the README's
 library example and command-line block run."""
 
@@ -156,6 +157,56 @@ def test_one_reader_and_one_writer_per_file(path):
     reader = "_load_json" if path.name == "cli.py" else None
     assert file_format_breaches(path.read_text(encoding="utf-8"),
                                 reader) == []
+
+
+def graph_writer_bypasses(source: str):
+    """Line numbers that reach the graph writer Graph._write_json, by name,
+    as an attribute, as a string or in a from-import, anywhere but inside
+    Graph.to_json: any other caller would format the graph again instead of
+    reading the text that to_json keeps."""
+    tree = ast.parse(source)
+    allowed = set()
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and cls.name == "Graph":
+            for stmt in cls.body:
+                if isinstance(stmt, ast.FunctionDef) and stmt.name == "to_json":
+                    allowed = set(map(id, ast.walk(stmt)))
+    lines = []
+    for node in ast.walk(tree):
+        names = (getattr(node, "id", None), getattr(node, "attr", None),
+                 getattr(node, "value", None))
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        if "_write_json" in names and id(node) not in allowed:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_graph_writer_bypasses_are_detected():
+    source = ("class Graph:\n"
+              "    def to_json(self):\n"
+              "        if self._json is None:\n"
+              "            self._json = self._write_json()\n"
+              "        return self._json\n"
+              "    def _write_json(self):\n"
+              "        return '{}'\n"
+              "    def fingerprint(self):\n"
+              "        return sha(self._write_json())\n"
+              "def labeling_to_json(g):\n"
+              "    return getattr(g, '_write_json')()\n"
+              "class Other:\n"
+              "    def to_json(self):\n"
+              "        return Graph._write_json(self)\n"
+              "from .graphs import _write_json\n"
+              "write = _write_json\n")
+    assert graph_writer_bypasses(source) == [9, 11, 14, 15, 16]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_only_to_json_calls_the_graph_writer(path):
+    # Graph.to_json writes a graph's text once and keeps it; the fingerprint
+    # and the labeling file read it through to_json
+    assert graph_writer_bypasses(path.read_text(encoding="utf-8")) == []
 
 
 def non_stdlib_imports(source: str):

@@ -231,8 +231,9 @@ def test_labeling_json_rejects_malformed():
     ("labels", [0, 1.0], "vertex 1 has label 1.0, not an int or None"),
     ("labels", [0], "1 labels for 2 vertices: a labeling's length is the "
                     "vertex count"),
+    ("label", [0, 1], "labeling document has an unknown key 'label'"),
 ], ids=["other-graph", "fingerprint-null", "labels-object", "labels-string",
-        "label-string", "label-float", "short"])
+        "label-string", "label-float", "short", "unknown-key"])
 def test_labeling_reader_names_the_first_fault_once(field, value, message):
     g = path_graph(2)
     doc = {"graph_fingerprint": g.fingerprint(), "labels": [0, 1]}

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from constructions import degree
 from oddgraceful import graphs
 from oddgraceful import (Graph, SearchConfig, build_theorem1, build_theorem2,
                          build_theorem3, corona_pendants, cycle_graph,
@@ -436,7 +437,7 @@ def run_reference(g, node_budget, cut):
     maximum-degree vertex, smallest id first), with the labeling mapped back
     to vertex ids."""
     order, _, components = graphs._walk(
-        g, sorted(range(g.p), key=lambda v: (-g.degree(v), v)))
+        g, sorted(range(g.p), key=lambda v: (-degree(g, v), v)))
     status, reason, by_pos, nodes, backtracks, depth = _reference_dfs(
         g.p, g.q, g.q - 1 if components == 1 else 2 * g.q - 1,
         _earlier_positions(g, order),
