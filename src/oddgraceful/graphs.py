@@ -26,8 +26,8 @@ from __future__ import annotations
 import json
 import re
 from collections import namedtuple
-from itertools import chain, repeat, starmap
-from operator import eq, itemgetter
+from itertools import chain, islice, repeat, starmap
+from operator import eq, ge, itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .canon import canonical_dumps, sha256_hex
@@ -68,20 +68,23 @@ class Family(namedtuple("Family", "kind n k m", defaults=(None,) * 3)):
 class Graph:
     """Immutable undirected graph over dense vertex ids 0..p-1 with tags.
 
-    Edges are stored with the smaller id first and sorted lexicographically.
-    Construction rejects, with ValueError, a tag that is not a non-empty
-    exact str or repeats an earlier one, then an edge that is not a pair, an
-    endpoint that is not an exact int (a bool, say), a self-loop, an
-    endpoint that is not a declared vertex and a duplicate edge, then a
-    family that is neither None nor a Family; the message names the first
-    offending tag in id order, or edge in input order.  The edge checks run
-    as whole-list passes, so they cost a few C-level scans and one sort of
-    the edge list.  The adjacency and the canonical JSON text are each
-    computed on first use and kept.
+    Edges are stored with the smaller id first and sorted lexicographically;
+    edges given as exact tuples already in that orientation are kept as
+    given, not copied.  Construction rejects, with ValueError, a tag that is
+    not a non-empty exact str or repeats an earlier one, then an edge that
+    is not a pair, an endpoint that is not an exact int (a bool, say), a
+    self-loop, an endpoint that is not a declared vertex and a duplicate
+    edge, then a family that is neither None nor a Family; the message names
+    the first offending tag in id order, or edge in input order.  The edge
+    checks run as whole-list passes, so they cost a few C-level scans and
+    one sort of the edge list, after which duplicates are neighbors.  The
+    adjacency and the canonical JSON text are each computed on first use
+    and kept.
 
     tags is a sequence of strings, or the IdOrder of a theorem graph, which
     then formats its tags on first read of `tags` and keeps them; tag(v)
-    reads one tag without formatting the others.
+    reads one tag without formatting the others, and writing the JSON text
+    formats them without keeping them.
     """
 
     __slots__ = ("p", "edges", "family", "_tags", "_order", "_adj", "_json")
@@ -163,11 +166,14 @@ class Graph:
         the vertex ids interleaved with the tags.  The tags are written as is
         when encoding them all joined adds only the two quotes, since every
         character the encoder escapes lengthens its output; otherwise each
-        tag is encoded on its own."""
+        tag is encoded on its own.  A theorem graph's tags are formatted for
+        this write only and not kept on the graph.  Each temporary is freed
+        before the next one is built, and the pieces are joined once."""
         encode = json.encoder.encode_basestring_ascii  # as json.dumps does
-        edges = ("[%d,%d]," * self.q
-                 % tuple(chain.from_iterable(self.edges)))[:-1]
-        tags, text = self.tags, "".join(self.tags)
+        edges = ("[%d,%d]," * self.q)[:-1] % tuple(
+            chain.from_iterable(self.edges))
+        tags = self._order.tags() if self._tags is None else self._tags
+        text = "".join(tags)
         if len(encode(text)) == len(text) + 2:
             entry = '{"id":%d,"tag":"%s"},'
         else:
@@ -175,12 +181,16 @@ class Graph:
         del text  # a megabyte at q near 10^5; freed before the format
         fields = [None] * (2 * self.p)
         fields[::2], fields[1::2] = range(self.p), tags
-        vertices = (entry * self.p % tuple(fields))[:-1]
+        del tags
+        fields = tuple(fields)
+        vertices = (entry * self.p)[:-1] % fields
+        del fields
         family = None if self.family is None else {
             key: value for key, value in self.family._asdict().items()
             if value is not None}
-        return (f'{{"edges":[{edges}],"family":{canonical_dumps(family)[:-1]},'
-                f'"vertices":[{vertices}]}}\n')
+        return "".join(('{"edges":[', edges, '],"family":',
+                        canonical_dumps(family)[:-1], ',"vertices":[',
+                        vertices, ']}\n'))
 
     def fingerprint(self) -> str:
         """Hex digest of the canonical graph JSON; binds labeling files to
@@ -267,16 +277,23 @@ def _sorted_edges(edges: list, p: int) -> list:
 
     Whole-list passes check that every edge is a pair, every endpoint an
     int in 0..p-1 and that no edge is a self-loop or a duplicate; if one
-    fails, _raise_first_bad_edge names the edge.
+    fails, _raise_first_bad_edge names the edge.  When every edge is
+    already an exact tuple (a, b) with a < b, as the builders emit them,
+    the input tuples are kept, so the graph holds no second copy of its
+    edges; otherwise each edge is rebuilt as a plain oriented tuple.
+    Duplicates are found by comparing neighbors after the sort.
     """
     try:  # an edge that is not iterable, or not a pair, raises here
         if set(map(type, chain.from_iterable(edges))) <= {int}:
-            pairs = [(a, b) if a < b else (b, a) for a, b in edges]
-            pairs.sort()
+            kept = (set(map(type, edges)) <= {tuple}
+                    and not any(starmap(ge, edges)))  # so no self-loop
+            pairs = sorted(edges) if kept else sorted(
+                (a, b) if a < b else (b, a) for a, b in edges)
             if not pairs or (pairs[0][0] >= 0
                              and max(map(itemgetter(1), pairs)) < p
-                             and not any(starmap(eq, pairs))
-                             and len(set(pairs)) == len(pairs)):
+                             and (kept or not any(starmap(eq, pairs)))
+                             and not any(map(eq, pairs,
+                                             islice(pairs, 1, None)))):
                 return pairs
     except (TypeError, ValueError):
         pass
@@ -395,7 +412,9 @@ class TheoremFamily(NamedTuple):
     vertex.  classes(a) gives the family at size a: its vertex classes in
     canonical id order, each a letter c and a count (c1..c(count)), and its
     edge classes, each (A, I, B, J) for the edges A_i - B_j with i, j taken
-    pairwise from the index ranges I and J.
+    pairwise from the index ranges I and J.  Class A comes before class B in
+    the id order, so every edge is built smaller id first and the Graph
+    constructor keeps the built tuples instead of copying them.
     """
 
     kind: str
@@ -418,15 +437,15 @@ def _sub_ladder_classes(n):
     return ((("u", side), ("v", side), ("w", n)),
             (("u", range(1, side), "u", range(2, side + 1)),
              ("v", range(1, side), "v", range(2, side + 1)),
-             ("u", odd, "w", rungs), ("w", rungs, "v", odd)))
+             ("u", odd, "w", rungs), ("v", odd, "w", rungs)))
 
 
 def _sub_tri_snake_classes(k):
     # block i is the paths u_i y_i u(i+1) and u_i v_i w_i z_i u(i+1)
     i, right = range(1, k + 1), range(2, k + 2)
     return ((("u", k + 1), ("v", k), ("w", k), ("y", k), ("z", k)),
-            (("u", i, "y", i), ("y", i, "u", right), ("u", i, "v", i),
-             ("v", i, "w", i), ("w", i, "z", i), ("z", i, "u", right)))
+            (("u", i, "y", i), ("u", right, "y", i), ("u", i, "v", i),
+             ("v", i, "w", i), ("w", i, "z", i), ("u", right, "z", i)))
 
 
 THEOREM_FAMILIES = {
@@ -489,13 +508,15 @@ class IdOrder:
 
     def tags(self) -> tuple:
         """Every tag in id order, as tag(v) formats each: the class tags,
-        then each one's pendants p(x,1)..p(x,m).  No class tag is a pendant
-        tag, so every pendant index starts at 1."""
-        base = [f"{letter}{i}" for letter, count in self.vertices
+        then each one's pendants p(x,1)..p(x,m), extending the one list of
+        class tags.  No class tag is a pendant tag, so every pendant
+        index starts at 1."""
+        tags = [f"{letter}{i}" for letter, count in self.vertices
                 for i in range(1, count + 1)]
         tails = list(map(_PENDANT_TAIL, range(1, self.m + 1)))
-        heads = map(_PENDANT_HEAD.__add__, base)
-        return tuple(base + [h + t for h in heads for t in tails])
+        heads = map(_PENDANT_HEAD.__add__, tags)  # read before += extends
+        tags += [h + t for h in heads for t in tails]
+        return tuple(tags)
 
 
 def theorem_order(number: int, a: int, m: int) -> IdOrder:

@@ -3,7 +3,10 @@
 import hashlib
 import json
 import re
+import tracemalloc
+from collections import namedtuple
 from enum import IntEnum
+from operator import is_, lt
 
 import pytest
 from hypothesis import given, settings
@@ -308,17 +311,34 @@ def test_theorem_size_limit():
         build_theorem3(2**63, 1)
 
 
+def _table_sizes(number):
+    """Sizes least..least+7 of theorem `number`, then its LARGE_INSTANCES
+    sizes."""
+    least = THEOREM_FAMILIES[number].least
+    return [*range(least, least + 8),
+            *(a for n, a, _ in LARGE_INSTANCES if n == number)]
+
+
 @pytest.mark.parametrize("number", sorted(THEOREM_FAMILIES))
 def test_edge_class_ranges_have_equal_length(number):
     # _build zips the two index ranges of an edge class and IdOrder.q counts
     # one of them, so an unequal pair would drop edges without an error
-    least = THEOREM_FAMILIES[number].least
-    sizes = [*range(least, least + 8),
-             *(a for n, a, _ in LARGE_INSTANCES if n == number)]
-    for a in sizes:
+    for a in _table_sizes(number):
         _, edge_classes = THEOREM_FAMILIES[number].classes(a)
         for _, xs, _, ys in edge_classes:
             assert len(xs) == len(ys), (number, a, xs, ys)
+
+
+@pytest.mark.parametrize("number", sorted(THEOREM_FAMILIES))
+def test_edge_classes_list_the_smaller_id_first(number):
+    # the Graph constructor keeps the builder's tuples only when every edge
+    # is (smaller id, larger id); a class listed the other way round would
+    # copy every edge of the graph without failing any other test
+    for a in _table_sizes(number):
+        order = IdOrder(number, a, 1)
+        for x, xs, y, ys in order.edges:
+            assert all(map(lt, order.ids(x, xs), order.ids(y, ys))), (
+                number, a, x, y)
 
 
 def test_builders_reject_domain_violations():
@@ -488,6 +508,9 @@ _BAD_EDGE_CASES = [
     (["v1", "v2"], [(0, 2)], "edge (0,2) references an undeclared vertex"),
     (["v1", "v2"], [(-1, 0)], "edge (-1,0) references an undeclared vertex"),
     (["v1", "v2"], [(0, 1), (1, 0)], "duplicate edge (0, 1)"),
+    # every edge an oriented tuple: the check keeps the input tuples
+    (["v1", "v2"], [(0, 1), (0, 1)], "duplicate edge (0, 1)"),
+    (["v1", "v2"], [(0, 5)], "edge (0,5) references an undeclared vertex"),
     (["a", "b", "c"], [(False, True), (1.0, 2)],
      "edge (False,True) has an endpoint that is not an int"),
     (["a", "b", "c"], [(0, 1), (1.0, 2)],
@@ -517,6 +540,40 @@ def test_graph_validation():
         with pytest.raises(ValueError) as exc:
             Graph(tags, edges)
         assert str(exc.value) == message
+
+
+def test_graph_keeps_oriented_edge_tuples():
+    # exact tuples with the smaller id first are kept as given, sorted
+    edges = [(1, 2), (0, 2), (0, 1)]
+    g = Graph(["a", "b", "c"], edges)
+    assert all(map(is_, g.edges, sorted(edges)))
+    # anything else is rebuilt as fresh plain tuples: lists, a reversed
+    # pair (which rebuilds every edge) and a tuple subclass
+    edge = namedtuple("Edge", "a b")
+    for edges in ([[0, 1], [1, 2]], [(0, 1), (2, 1)], [(0, 1), edge(1, 2)]):
+        g = Graph(["a", "b", "c"], edges)
+        assert g.edges == ((0, 1), (1, 2))
+        assert {type(e) for e in g.edges} == {tuple}
+        assert not any(e is f for e in g.edges for f in edges)
+
+
+def test_theorem_graph_memory_per_edge():
+    # t1(500,30): q = 31,498.  The built graph keeps the builder's edge
+    # tuples and finds duplicates without a set of every edge, and writing
+    # its text keeps the text but not the formatted tags.  A second copy of
+    # the edges while building, or the tags kept after the write, each add
+    # over 60 bytes per edge.
+    build_theorem1(3, 2).to_json()  # first-use allocations stay outside
+    tracemalloc.start()
+    try:
+        g = build_theorem1(500, 30)
+        build_peak = tracemalloc.get_traced_memory()[1]
+        g.to_json()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert build_peak < 150 * g.q
+    assert held < 170 * g.q
 
 
 @pytest.mark.parametrize("family", [{"kind": "x"}, ("ladder", 2), "ladder",
