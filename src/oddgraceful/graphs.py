@@ -17,8 +17,8 @@ that turns a class and index into an id, and it counts the edges q from the
 table; the closed-form labelers in formulas.py take both from the IdOrder
 that theorem_order checks, so they agree with the builders by construction.
 IdOrder also holds the tag format, in both forms: tag(v) formats one tag and
-tags() all of them, so a theorem graph keeps its IdOrder and formats its
-tags only when they are read.
+tags() iterates over all of them in id order, so a theorem graph keeps its
+IdOrder and formats its tags only when they are read or written.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ import json
 import re
 from collections import namedtuple
 from itertools import chain, islice, repeat, starmap
-from operator import eq, ge, itemgetter
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
+from operator import attrgetter, eq, ge, itemgetter
+from typing import (Callable, Iterable, Iterator, NamedTuple, Optional,
+                    Sequence, Union)
 
 from .canon import canonical_dumps, sha256_hex
 
@@ -36,6 +37,9 @@ _PENDANT_RE = re.compile(r"^p\((.+),([1-9][0-9]*)\)$")
 # pendant tag = head + parent tag + index tail, also joined in bulk by
 # IdOrder.tags and corona_pendants
 _PENDANT_HEAD, _PENDANT_TAIL = "p(", ",{})".format
+
+# edges or vertices per % format when Graph._write_json writes an array
+_WRITE_BLOCK = 1 << 12
 
 
 def pendant(parent: str, j: int) -> str:
@@ -84,7 +88,7 @@ class Graph:
     tags is a sequence of strings, or the IdOrder of a theorem graph, which
     then formats its tags on first read of `tags` and keeps them; tag(v)
     reads one tag without formatting the others, and writing the JSON text
-    formats them without keeping them.
+    formats them one block at a time without keeping them.
     """
 
     __slots__ = ("p", "edges", "family", "_tags", "_order", "_adj", "_json")
@@ -107,7 +111,7 @@ class Graph:
     def tags(self) -> tuple:
         """Every vertex tag, in id order."""
         if self._tags is None:
-            self._tags = self._order.tags()
+            self._tags = tuple(self._order.tags())
         return self._tags
 
     def tag(self, v: int) -> str:
@@ -162,35 +166,44 @@ class Graph:
         of {"edges", "family", "vertices": [{"id", "tag"}, ...]}, where the
         family is null or an object of its fields that are not None.
 
-        Each array is one % format over a flat tuple: the edge endpoints, and
-        the vertex ids interleaved with the tags.  The tags are written as is
-        when encoding them all joined adds only the two quotes, since every
+        Each array is written in blocks of _WRITE_BLOCK entries, each block
+        one % format over its own flat tuple: the block's edge endpoints, or
+        its vertex ids interleaved with its tags.  A block's tags are written
+        as is when encoding them joined adds only the two quotes, since every
         character the encoder escapes lengthens its output; otherwise each
-        tag is encoded on its own.  A theorem graph's tags are formatted for
-        this write only and not kept on the graph.  Each temporary is freed
-        before the next one is built, and the pieces are joined once."""
+        tag of the block is encoded on its own.  A tag that needs no escaping
+        encodes to itself in quotes, so the bytes do not depend on the block
+        size.  A theorem graph's tags are formatted block by block for this
+        write only and not kept on the graph.  The pieces are joined once."""
         encode = json.encoder.encode_basestring_ascii  # as json.dumps does
-        edges = ("[%d,%d]," * self.q)[:-1] % tuple(
-            chain.from_iterable(self.edges))
-        tags = self._order.tags() if self._tags is None else self._tags
-        text = "".join(tags)
-        if len(encode(text)) == len(text) + 2:
-            entry = '{"id":%d,"tag":"%s"},'
-        else:
-            entry, tags = '{"id":%d,"tag":%s},', list(map(encode, tags))
-        del text  # a megabyte at q near 10^5; freed before the format
-        fields = [None] * (2 * self.p)
-        fields[::2], fields[1::2] = range(self.p), tags
-        del tags
-        fields = tuple(fields)
-        vertices = (entry * self.p)[:-1] % fields
-        del fields
+        pieces = ['{"edges":[']
+        for lo in range(0, self.q, _WRITE_BLOCK):
+            block = self.edges[lo:lo + _WRITE_BLOCK]
+            pieces.append("[%d,%d]," * len(block)
+                          % tuple(chain.from_iterable(block)))
+        if self.q:
+            pieces[-1] = pieces[-1][:-1]
         family = None if self.family is None else {
             key: value for key, value in self.family._asdict().items()
             if value is not None}
-        return "".join(('{"edges":[', edges, '],"family":',
-                        canonical_dumps(family)[:-1], ',"vertices":[',
-                        vertices, ']}\n'))
+        pieces.append('],"family":' + canonical_dumps(family)[:-1]
+                      + ',"vertices":[')
+        tags = self._order.tags() if self._tags is None else iter(self._tags)
+        for lo in range(0, self.p, _WRITE_BLOCK):
+            hi = min(lo + _WRITE_BLOCK, self.p)
+            block = tuple(islice(tags, hi - lo))
+            text = "".join(block)
+            if len(encode(text)) == len(text) + 2:
+                entry = '{"id":%d,"tag":"%s"},'
+            else:
+                entry, block = '{"id":%d,"tag":%s},', list(map(encode, block))
+            fields = [None] * (2 * (hi - lo))
+            fields[::2], fields[1::2] = range(lo, hi), block
+            pieces.append(entry * (hi - lo) % tuple(fields))
+        if self.p:
+            pieces[-1] = pieces[-1][:-1]
+        pieces.append("]}\n")
+        return "".join(pieces)
 
     def fingerprint(self) -> str:
         """Hex digest of the canonical graph JSON; binds labeling files to
@@ -506,17 +519,17 @@ class IdOrder:
             if first < v:
                 return f"{letter}{v - first}"
 
-    def tags(self) -> tuple:
-        """Every tag in id order, as tag(v) formats each: the class tags,
-        then each one's pendants p(x,1)..p(x,m), extending the one list of
-        class tags.  No class tag is a pendant tag, so every pendant
-        index starts at 1."""
+    def tags(self) -> Iterator[str]:
+        """An iterator over every tag in id order, as tag(v) formats each:
+        the class tags, then each one's pendants p(x,1)..p(x,m), made by
+        mapping the parent's pendant head's __add__ over the index tails at
+        C level, so no pendant tag exists before it is read.  No class tag
+        is a pendant tag, so every pendant index starts at 1."""
         tags = [f"{letter}{i}" for letter, count in self.vertices
                 for i in range(1, count + 1)]
         tails = list(map(_PENDANT_TAIL, range(1, self.m + 1)))
-        heads = map(_PENDANT_HEAD.__add__, tags)  # read before += extends
-        tags += [h + t for h in heads for t in tails]
-        return tuple(tags)
+        adds = map(attrgetter("__add__"), map(_PENDANT_HEAD.__add__, tags))
+        return chain(tags, chain.from_iterable(map(map, adds, repeat(tails))))
 
 
 def theorem_order(number: int, a: int, m: int) -> IdOrder:

@@ -6,6 +6,7 @@ import re
 import tracemalloc
 from collections import namedtuple
 from enum import IntEnum
+from itertools import islice
 from operator import is_, lt
 
 import pytest
@@ -20,10 +21,10 @@ from oddgraceful import (Family, Graph, SearchConfig, Violation,
                          label_theorem1, label_theorem2, label_theorem3,
                          labeling_from_json_obj, labeling_to_json, ladder,
                          path_graph, triangular_snake, verify_odd_graceful)
-from oddgraceful.canon import canonical_dumps
+from oddgraceful.canon import _HASH_BLOCK, canonical_dumps, sha256_hex
 from oddgraceful.cli import parse_grid
-from oddgraceful.graphs import (MAX_THEOREM_Q, THEOREM_FAMILIES, IdOrder,
-                                theorem_order)
+from oddgraceful.graphs import (_WRITE_BLOCK, MAX_THEOREM_Q, THEOREM_FAMILIES,
+                                IdOrder, theorem_order)
 
 
 def test_path_graph_counts():
@@ -562,18 +563,28 @@ def test_theorem_graph_memory_per_edge():
     # tuples and finds duplicates without a set of every edge, and writing
     # its text keeps the text but not the formatted tags.  A second copy of
     # the edges while building, or the tags kept after the write, each add
-    # over 60 bytes per edge.
-    build_theorem1(3, 2).to_json()  # first-use allocations stay outside
+    # over 60 bytes per edge.  The writer formats its arrays in blocks, so
+    # its temporaries above the built graph are the pieces and the joined
+    # text (about 2 x 43 bytes per edge); one % over a whole array held
+    # about 170.  The fingerprint hashes the kept text in blocks, where
+    # encoding it whole held a second copy (about 42 bytes per edge).
+    build_theorem1(3, 2).fingerprint()  # first-use allocations stay outside
     tracemalloc.start()
     try:
         g = build_theorem1(500, 30)
-        build_peak = tracemalloc.get_traced_memory()[1]
+        built, build_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         g.to_json()
-        held = tracemalloc.get_traced_memory()[0]
+        held, write_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        g.fingerprint()
+        hash_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert build_peak < 150 * g.q
     assert held < 170 * g.q
+    assert write_peak - built < 120 * g.q
+    assert hash_peak - held < 10 * g.q
 
 
 @pytest.mark.parametrize("family", [{"kind": "x"}, ("ladder", 2), "ladder",
@@ -1082,3 +1093,49 @@ def mostly_safe_graphs(draw):
 @settings(max_examples=300, deadline=None)
 def test_graph_json_matches_reference_writer(g):
     assert g.to_json() == _reference_graph_json(g)
+
+
+# entry counts on either side of the writer's block boundaries
+_BLOCK_SIZES = [0, 1, _WRITE_BLOCK - 1, _WRITE_BLOCK, _WRITE_BLOCK + 1,
+                2 * _WRITE_BLOCK + 1]
+
+
+def _graph_with_sizes(p, q, tags=None):
+    """A graph on p vertices tagged v0.., or tags, with its first q edges in
+    order of id distance: (0,1), (1,2), ..., then (0,2), (1,3), ..."""
+    edges = islice(((i, i + d) for d in range(1, p) for i in range(p - d)), q)
+    return Graph(tags or [f"v{i}" for i in range(p)], list(edges))
+
+
+@pytest.mark.parametrize("p, q", [(p, q) for p in _BLOCK_SIZES
+                                  for q in _BLOCK_SIZES
+                                  if q <= p * (p - 1) // 2])
+def test_graph_json_matches_reference_across_blocks(p, q):
+    g = _graph_with_sizes(p, q)
+    assert (g.p, g.q) == (p, q)
+    assert g.to_json() == _reference_graph_json(g)
+
+
+@pytest.mark.parametrize("n", [0, 1, _HASH_BLOCK - 1, _HASH_BLOCK,
+                               _HASH_BLOCK + 1, 2 * _HASH_BLOCK + 1])
+def test_sha256_hex_hashes_the_whole_encoding(n):
+    # the text is hashed a block of characters at a time; one- to four-byte
+    # characters in turn, so multi-byte ones sit on the block boundaries
+    text = ("a\u00e9\u20ac\U0001f600" * n)[:n]
+    assert sha256_hex(text) == hashlib.sha256(
+        text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("p, at", [  # in the first block, a later, the last
+    (p, at) for p in _BLOCK_SIZES[1:]
+    for at in sorted({0, _WRITE_BLOCK, p - 1}) if at < p])
+@pytest.mark.parametrize("bad", ['a"b', "\u00e9"])
+def test_escaping_is_decided_per_block(p, at, bad):
+    # a block whose tags need no escaping is written as is and one with an
+    # escaping tag tag by tag, with the same bytes either way
+    tags = [f"v{i}" for i in range(p)]
+    tags[at] = bad
+    g = _graph_with_sizes(p, p - 1, tags)
+    text = g.to_json()
+    assert text == _reference_graph_json(g)
+    assert json.loads(text)["vertices"][at]["tag"] == bad
