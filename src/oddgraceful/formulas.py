@@ -203,7 +203,7 @@ def _label(number: int, a: int, m: int, apply_repairs: bool,
                 lab[ids] = labels
         if changed:
             notes.append((fid, text.format(i=sorted(changed))))
-    uncovered = (tuple(order.tag(v) for v, x in enumerate(lab) if x is None)
+    uncovered = (tuple(order[v] for v, x in enumerate(lab) if x is None)
                  if None in lab else ())
     return lab, FormulaInterpretation(tuple(notes), uncovered)
 

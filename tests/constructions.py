@@ -51,7 +51,7 @@ def subdivide(g: Graph) -> Graph:
     edges = []
     for a, b in g.edges:
         mid = len(tags)
-        tags.append(f"s({g.tags[a]},{g.tags[b]})")
+        tags.append(f"s({tags[a]},{tags[b]})")
         edges.append((a, mid))
         edges.append((mid, b))
     return Graph(tags, edges)

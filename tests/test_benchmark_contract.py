@@ -1,9 +1,9 @@
 """The audit benchmark's contract with the package: one untraced and one
-traced pass of the audit-grid and large-instance workloads of
-auditbench/worker.py must each check out with no failures.  This catches a
-change that breaks a name, a shape or a pinned output the benchmark relies
-on (the sweep CSV sha256, the large instances' verdicts and fingerprints),
-on either path."""
+traced pass of each workload of auditbench/worker.py (audit-grid,
+large-instance and search-audit) must each check out with no failures.
+This catches a change that breaks a name, a shape or a pinned output the
+benchmark relies on (the sweep CSV sha256, the large instances' verdicts
+and fingerprints, the search verdicts and their JSON), on either path."""
 
 import random
 import sys
@@ -26,7 +26,8 @@ def worker():
     return worker
 
 
-@pytest.mark.parametrize("name", ["audit-grid", "large-instance"])
+@pytest.mark.parametrize("name", ["audit-grid", "large-instance",
+                                  "search-audit"])
 def test_untraced_pass_has_no_failures(worker, name):
     workload = worker.WORKLOADS[name](oddgraceful, random.Random(0))
     result = workload.run_pass(None)
@@ -34,7 +35,8 @@ def test_untraced_pass_has_no_failures(worker, name):
     assert result.failed == 0
 
 
-@pytest.mark.parametrize("name", ["audit-grid", "large-instance"])
+@pytest.mark.parametrize("name", ["audit-grid", "large-instance",
+                                  "search-audit"])
 def test_traced_pass_has_no_failures(worker, name):
     workload = worker.WORKLOADS[name](oddgraceful, random.Random(0))
     result = workload.run_pass(worker.Tracer())

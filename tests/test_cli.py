@@ -405,13 +405,13 @@ def test_never_sweep_formats_no_tags_in_bulk(tmp_path, monkeypatch):
     # a sweep reads at most the two tags of a DuplicateVertexLabel cell, so
     # it formats them one at a time; gen writes every tag, formatted once
     calls = []
-    bulk = IdOrder.tags
+    bulk = IdOrder.__iter__
 
     def counted(order):
         calls.append(order)
         return bulk(order)
 
-    monkeypatch.setattr(IdOrder, "tags", counted)
+    monkeypatch.setattr(IdOrder, "__iter__", counted)
     grid = parse_grid("theorem1:n=2..4,m=1..2;theorem2:n=2..3,m=1;"
                       "theorem3:k=1..3,m=1..2")
     rows = cli.build_sweep_rows(grid, "never", 0)

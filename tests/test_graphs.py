@@ -438,9 +438,9 @@ AUDIT_GRID_GRAPHS_SHA256 = (
 
 
 def test_builders_match_golden_graph_digest():
-    # a built graph formats its tags one at a time through tag(v) and all
-    # at once on the first read of tags; each fresh graph reads them one at
-    # a time first, so both forms are checked against the digest
+    # a built graph's tags are its IdOrder, which formats one tag for
+    # tag(v) and every tag for tags and the writer; both forms are checked
+    # against each other and the writer's against the digest
     builders = {1: build_theorem1, 2: build_theorem2, 3: build_theorem3}
     digest = hashlib.sha256()
     for number, a, m in sorted(set(parse_grid(AUDIT_GRID))):
@@ -458,8 +458,8 @@ def test_builders_match_golden_graph_digest():
 
 
 def test_tag_rejects_ids_outside_the_graph():
-    # a built graph formats tags from its IdOrder until tags is first read;
-    # a graph read from a file holds them in a tuple, where -1 would index
+    # a built graph's tags are its IdOrder; a graph read from a file holds
+    # them in a tuple, where -1 would index
     eager = Graph.from_json_obj(
         json.loads(build_theorem1(3, 1).to_json()))
     for g in (build_theorem1(3, 1), ladder(3), eager, path_graph(2)):
@@ -468,10 +468,12 @@ def test_tag_rejects_ids_outside_the_graph():
                 g.tag(v)
         assert tuple(map(g.tag, range(g.p))) == g.tags
     order = IdOrder(1, 3, 1)  # p = 12
-    assert order.tag(11) == "p(v3,1)"
+    assert order[11] == "p(v3,1)"
+    assert len(order) == order.p
+    assert tuple(order) == tuple(order[v] for v in range(order.p))
     for v in (12, -1):
         with pytest.raises(IndexError):
-            order.tag(v)
+            order[v]
 
 
 def _theorem_graph_with_tags_read():
@@ -480,7 +482,12 @@ def _theorem_graph_with_tags_read():
     return g
 
 
-@pytest.mark.parametrize("method", ["tag", "degree"])
+def _order_tag(g, v):
+    # the tag of v read off the IdOrder that built g
+    return theorem_order(1, g.family.n, g.family.m)[v]
+
+
+@pytest.mark.parametrize("method", ["tag", "degree", "order"])
 @pytest.mark.parametrize("make", [
     lambda: build_theorem1(2, 1), _theorem_graph_with_tags_read,
     lambda: Graph.from_json_obj(json.loads(build_theorem1(2, 1).to_json())),
@@ -489,11 +496,12 @@ def _theorem_graph_with_tags_read():
 def test_vertex_id_is_an_exact_int_in_range(method, make, v):
     # a float or a bool id once read tag 'u2.0', 'p(u2.0,1.5)' or 'u2' off
     # a fresh theorem graph, and Graph.degree(-1) the degree of vertex p-1;
-    # the tests' degree helper reads the same gate through g.tag
+    # the tests' degree helper reads the same gate through g.tag, and an
+    # IdOrder's order[v] holds it for every tag read off a theorem graph
     g = make()
     v = g.p if v == "p" else v
     with pytest.raises(IndexError) as exc:
-        {"tag": Graph.tag, "degree": degree}[method](g, v)
+        {"tag": Graph.tag, "degree": degree, "order": _order_tag}[method](g, v)
     assert str(exc.value) == f"vertex id {v} is not in 0..{g.p - 1}"
 
 
@@ -684,6 +692,9 @@ def test_package_exports_resolve_without_tag_api():
     assert not removed & set(oddgraceful.__all__)
     assert not [name for name in removed if hasattr(oddgraceful, name)]
     assert not hasattr(Graph, "degree")
+    # a theorem graph's tags are its IdOrder, read as a sequence: one store
+    assert not [name for name in ("tag", "tags") if hasattr(IdOrder, name)]
+    assert "_order" not in Graph.__slots__
 
 
 def test_file_formats_have_one_reader_and_one_writer():
