@@ -45,10 +45,21 @@ SWEEP_DEFAULT_NODE_BUDGET = 100_000
 
 
 def _load_json(path: str):
-    """The JSON in the file at path: the one place that parses file text."""
+    """The JSON in the file at path: the one place that parses file text.
+    A key repeated in one object is rejected, not read as its last value."""
+    def unique_keys(pairs):
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            seen = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise ValueError(f"{path}: JSON key {key!r} repeated")
+                seen.add(key)
+        return obj
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
 

@@ -1,4 +1,4 @@
-"""Tagged graph constructions for pendant ladder and snake families.
+"""Tagged graphs: the three pendant families of the theorems, and cycles.
 
 Vertices carry plain string tags naming symbol class and index (u3, w1), so
 that label formulas stated per class and index can be applied without
@@ -19,12 +19,14 @@ that theorem_order checks, so they agree with the builders by construction.
 IdOrder is also the tag sequence of a theorem graph: order[v] formats one
 tag and iterating formats all of them in id order, so a theorem graph holds
 its IdOrder as its tags and formats them only when they are read or written.
+Beside the table the package builds only cycle_graph; the generic
+constructions that the tests check the table against (paths, ladders,
+snakes, subdivisions, coronas) live with the tests.
 """
 
 from __future__ import annotations
 
 import json
-import re
 from collections import namedtuple
 from itertools import chain, islice, repeat, starmap
 from operator import eq, ge, itemgetter
@@ -32,7 +34,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .canon import canonical_dumps, sha256_hex
 
-_PENDANT_RE = re.compile(r"^p\((.+),([1-9][0-9]*)\)$")
 # pendant tag = head + parent tag + index tail, also joined in bulk by
 # IdOrder.__iter__
 _PENDANT_HEAD, _PENDANT_TAIL = "p(", ",{})".format
@@ -336,73 +337,12 @@ def _raise_first_bad_edge(edges: list, p: int) -> None:
 # -- basic constructions ---------------------------------------------------
 
 
-def path_graph(n: int) -> Graph:
-    """Path on n vertices tagged v1..vn."""
-    if not _is_int(n) or n < 1:
-        raise ValueError("path_graph needs an int n >= 1")
-    return Graph([f"v{i}" for i in range(1, n + 1)],
-                 [(i, i + 1) for i in range(n - 1)])
-
-
 def cycle_graph(n: int) -> Graph:
     """Cycle on n vertices tagged v1..vn."""
     if not _is_int(n) or n < 3:
         raise ValueError("cycle_graph needs an int n >= 3")
     edges = [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)]
     return Graph([f"v{i}" for i in range(1, n + 1)], edges)
-
-
-def ladder(n: int) -> Graph:
-    """Two parallel paths u1..un and v1..vn joined by rungs ui-vi: the
-    theorem-1 family without pendants."""
-    if not _is_int(n) or n < 2:
-        raise ValueError("ladder needs an int n >= 2")
-    return _build(IdOrder(1, n, 0))
-
-
-def _pendant_edges(p: int, m: int):
-    """The edges from m new pendants on every vertex 0..p-1, grouped by
-    parent in parent id order, so the j-th new pendant of vertex x gets id
-    p + x*m + j - 1: each parent id, repeated m times, zipped with the new
-    id range."""
-    return zip(chain.from_iterable(map(repeat, range(p), repeat(m))),
-               range(p, p + p * m))
-
-
-def corona_pendants(g: Graph, m: int) -> Graph:
-    """Attach m new degree-1 vertices to every vertex of g.
-
-    Pendants are appended after the original vertices (see _pendant_edges)
-    and numbered after each parent's existing pendants: a vertex that
-    already has p(x,1) gets p(x,2) next.  With m = 0 the result equals g,
-    family included.
-    """
-    if not _is_int(m) or m < 0:
-        raise ValueError("pendant count must be an int >= 0")
-    tags, edges = list(g.tags), list(g.edges)
-    taken = {}  # parent tag -> highest pendant index in tags
-    for match in filter(None, map(_PENDANT_RE.match, tags)):
-        parent, j = match.group(1), int(match.group(2))
-        taken[parent] = max(taken.get(parent, 0), j)
-    tags += [pendant(x, taken.get(x, 0) + j)
-             for x in tags for j in range(1, m + 1)]
-    edges += _pendant_edges(g.p, m)
-    return Graph(tags, edges, g.family if m == 0 else None)
-
-
-def triangular_snake(k: int) -> Graph:
-    """Chain of k triangles: path u1..u(k+1) with apex wi over each edge."""
-    if not _is_int(k) or k < 1:
-        raise ValueError("triangular_snake needs an int k >= 1")
-    tags = ([f"u{i}" for i in range(1, k + 2)]
-            + [f"w{i}" for i in range(1, k + 1)])
-    edges = []
-    for i in range(k):
-        w = k + 1 + i
-        edges.append((i, i + 1))
-        edges.append((i, w))
-        edges.append((w, i + 1))
-    return Graph(tags, edges)
 
 
 # -- the three pendant families --------------------------------------------
@@ -471,8 +411,8 @@ class IdOrder:
     vertices and edges are the family's classes at size a.  The vertex
     classes come in table order, each indexed from 1, so c_i has id
     first[c] + i; then come the pendants, grouped by parent, so pendant j of
-    the vertex with id x has id p0 + x*m + j - 1 (as _pendant_edges
-    numbers them).  p is the vertex count and q the edge count.
+    the vertex with id x has id p0 + x*m + j - 1 (as _build numbers
+    them).  p is the vertex count and q the edge count.
     """
 
     def __init__(self, number: int, a: int, m: int):
@@ -552,10 +492,14 @@ def _build(order: IdOrder) -> Graph:
     edges = []
     for x, xs, y, ys in order.edges:
         edges += zip(order.ids(x, xs), order.ids(y, ys))
-    edges += _pendant_edges(order.p0, order.m)
+    # pendant j of the vertex with id x has id p0 + x*m + j - 1: each class
+    # vertex id, repeated m times, zipped with the pendant id range
+    p0, m = order.p0, order.m
+    edges += zip(chain.from_iterable(map(repeat, range(p0), repeat(m))),
+                 range(p0, order.p))
     family = THEOREM_FAMILIES[order.number]
     return Graph(order, edges,
-                 Family(family.kind, **{family.param: order.a}, m=order.m))
+                 Family(family.kind, **{family.param: order.a}, m=m))
 
 
 def build_theorem1(n: int, m: int) -> Graph:

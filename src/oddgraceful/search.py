@@ -179,9 +179,7 @@ def find_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()
             "none", SearchStats(0, 0, int((perf_counter() - t0) * 1000), 0))
     order, _, components = walk
     earlier, closes, twin = _placement_tables(g, order)
-    node_budget = cfg.node_budget
-    deadline = (None if cfg.time_budget_ms is None
-                else t0 + cfg.time_budget_ms / 1000)
+    node_budget, time_budget_ms = cfg
     p = g.p
     top = max_label(g.q)
     full = (1 << (top + 1)) - 1
@@ -218,8 +216,9 @@ def find_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()
             if node_budget is not None and nodes >= node_budget:
                 status, reason = "inconclusive", "node-budget"
                 break
-            if (deadline is not None and not nodes & 255
-                    and perf_counter() > deadline):
+            # elapsed ms against the int budget: no budget overflows a float
+            if (time_budget_ms is not None and not nodes & 255
+                    and (perf_counter() - t0) * 1000 > time_budget_ms):
                 status, reason = "inconclusive", "time-budget"
                 break
             x = start + (cand & -cand).bit_length() - 1

@@ -1,10 +1,19 @@
-"""Reference constructions that the graph tests compare the theorem builders
-against, and the degree and 2-coloring that the tests read off a graph.  The
-package never calls them, so they live with the tests; the Graph constructor
-rejects any repeated tag they derive."""
+"""Reference constructions that the tests build small graphs with and compare
+the theorem builders against, and the degree and 2-coloring that the tests
+read off a graph.  The package never calls them, so they live with the
+tests; the Graph constructor rejects any repeated tag they derive.
 
-from oddgraceful import Graph
-from oddgraceful.graphs import _walk
+ladder(n) is the theorem-1 family table read at m = 0, so it is tagged and
+numbered as build_theorem1's graph is, without pendants.  corona_pendants
+writes its own pendant edges, so a theorem graph compared with the corona
+of its base shares no pendant code with the table that built it."""
+
+import re
+
+from oddgraceful import Graph, pendant
+from oddgraceful.graphs import IdOrder, _build, _is_int, _walk
+
+_PENDANT_RE = re.compile(r"^p\((.+),([1-9][0-9]*)\)$")
 
 
 def degree(g: Graph, v: int) -> int:
@@ -54,4 +63,57 @@ def subdivide(g: Graph) -> Graph:
         tags.append(f"s({tags[a]},{tags[b]})")
         edges.append((a, mid))
         edges.append((mid, b))
+    return Graph(tags, edges)
+
+
+def path_graph(n: int) -> Graph:
+    """Path on n vertices tagged v1..vn."""
+    if not _is_int(n) or n < 1:
+        raise ValueError("path_graph needs an int n >= 1")
+    return Graph([f"v{i}" for i in range(1, n + 1)],
+                 [(i, i + 1) for i in range(n - 1)])
+
+
+def ladder(n: int) -> Graph:
+    """Two parallel paths u1..un and v1..vn joined by rungs ui-vi: the
+    theorem-1 family without pendants."""
+    if not _is_int(n) or n < 2:
+        raise ValueError("ladder needs an int n >= 2")
+    return _build(IdOrder(1, n, 0))
+
+
+def corona_pendants(g: Graph, m: int) -> Graph:
+    """Attach m new degree-1 vertices to every vertex of g.
+
+    Pendants are appended after the original vertices, grouped by parent in
+    parent id order, so the j-th new pendant of vertex x gets id
+    p + x*m + j - 1.  They are numbered after each parent's existing
+    pendants: a vertex that already has p(x,1) gets p(x,2) next.  With
+    m = 0 the result equals g, family included.
+    """
+    if not _is_int(m) or m < 0:
+        raise ValueError("pendant count must be an int >= 0")
+    tags, edges = list(g.tags), list(g.edges)
+    taken = {}  # parent tag -> highest pendant index in tags
+    for match in filter(None, map(_PENDANT_RE.match, tags)):
+        parent, j = match.group(1), int(match.group(2))
+        taken[parent] = max(taken.get(parent, 0), j)
+    tags += [pendant(x, taken.get(x, 0) + j)
+             for x in tags for j in range(1, m + 1)]
+    edges += [(x, g.p + x * m + j) for x in range(g.p) for j in range(m)]
+    return Graph(tags, edges, g.family if m == 0 else None)
+
+
+def triangular_snake(k: int) -> Graph:
+    """Chain of k triangles: path u1..u(k+1) with apex wi over each edge."""
+    if not _is_int(k) or k < 1:
+        raise ValueError("triangular_snake needs an int k >= 1")
+    tags = ([f"u{i}" for i in range(1, k + 2)]
+            + [f"w{i}" for i in range(1, k + 1)])
+    edges = []
+    for i in range(k):
+        w = k + 1 + i
+        edges.append((i, i + 1))
+        edges.append((i, w))
+        edges.append((w, i + 1))
     return Graph(tags, edges)

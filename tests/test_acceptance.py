@@ -24,12 +24,11 @@ extrapolate from, passes.
 
 import time
 
+from constructions import corona_pendants, path_graph, triangular_snake
 from oddgraceful import (SearchConfig, build_theorem1, build_theorem2,
-                         build_theorem3, complement_labeling,
-                         corona_pendants, cycle_graph, exhaustive_oracle,
-                         find_odd_graceful, label_theorem1, label_theorem2,
-                         label_theorem3, path_graph, triangular_snake,
-                         verify_odd_graceful)
+                         build_theorem3, complement_labeling, cycle_graph,
+                         exhaustive_oracle, find_odd_graceful, label_theorem1,
+                         label_theorem2, label_theorem3, verify_odd_graceful)
 from oddgraceful.cli import build_sweep_rows, main, parse_grid, rows_to_csv
 from oddgraceful.labeling import DUPLICATE_EDGE_LABEL, DUPLICATE_VERTEX_LABEL
 

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oddgraceful import (Graph, build_theorem1, cycle_graph, ladder,
-                         labeling_to_json)
+from constructions import ladder
+from oddgraceful import Graph, build_theorem1, cycle_graph, labeling_to_json
 from oddgraceful import cli
 from oddgraceful.cli import FAMILIES, main, parse_grid
 from oddgraceful.graphs import IdOrder
@@ -297,6 +297,29 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys):
         assert_one_error_line(*run(capsys, *map(str, argv)))
 
 
+def test_repeated_json_key_exits_2(tmp_path, capsys):
+    # json.load would keep the last value: an edgeless graph, or the second
+    # labels array
+    gpath, lpath = gen_pair(tmp_path, capsys, 1, "n", 2, 1)
+    graph_text = gpath.read_text()
+    assert graph_text.startswith('{"edges":[')
+    bad_graph = tmp_path / "bad-graph.json"
+    bad_graph.write_text(graph_text.replace('{"edges":[',
+                                            '{"edges":[[0,1]],"edges":[', 1))
+    labels_text = lpath.read_text()
+    assert labels_text.endswith("}\n")
+    bad_labels = tmp_path / "bad-labels.json"
+    bad_labels.write_text(labels_text[:-2] + ',"labels":[]}\n')
+    for argv, key in ((("export", bad_graph, "--format", "json"), "edges"),
+                      (("verify", bad_graph, lpath), "edges"),
+                      (("search", bad_graph), "edges"),
+                      (("verify", gpath, bad_labels), "labels"),
+                      (("export", gpath, bad_labels), "labels")):
+        code, out, err = run(capsys, *map(str, argv))
+        assert_one_error_line(code, out, err)
+        assert f"JSON key {key!r} repeated" in err
+
+
 def test_search_found_and_none_and_budget(tmp_path, capsys):
     c4 = write_graph(tmp_path, cycle_graph(4), "c4.json")
     code, out, _ = run(capsys, "search", str(c4))
@@ -328,6 +351,15 @@ def test_search_negative_timeout_rejected(tmp_path, capsys):
     code, out, err = run(capsys, "search", str(c4), "--timeout-ms", "-1")
     assert code == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_search_huge_timeout_is_no_limit(tmp_path, capsys):
+    # a budget past the float range is compared as an int, not converted
+    gpath = write_graph(tmp_path, ladder(2))
+    code, out, err = run(capsys, "search", str(gpath),
+                         "--timeout-ms", "1" + "0" * 320)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["outcome"] == "found"
 
 
 def test_search_parse_failure(tmp_path, capsys):

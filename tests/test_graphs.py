@@ -14,13 +14,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oddgraceful
-from constructions import cartesian_product, degree, subdivide, two_coloring
+from constructions import (cartesian_product, corona_pendants, degree, ladder,
+                           path_graph, subdivide, triangular_snake,
+                           two_coloring)
 from oddgraceful import (Family, Graph, SearchConfig, Violation,
                          build_theorem1, build_theorem2, build_theorem3,
-                         corona_pendants, cycle_graph, is_bipartite,
-                         label_theorem1, label_theorem2, label_theorem3,
-                         labeling_from_json_obj, labeling_to_json, ladder,
-                         path_graph, triangular_snake, verify_odd_graceful)
+                         cycle_graph, is_bipartite, label_theorem1,
+                         label_theorem2, label_theorem3,
+                         labeling_from_json_obj, labeling_to_json,
+                         verify_odd_graceful)
 from oddgraceful.canon import _HASH_BLOCK, canonical_dumps, sha256_hex
 from oddgraceful.cli import parse_grid
 from oddgraceful.graphs import (_WRITE_BLOCK, MAX_THEOREM_Q, THEOREM_FAMILIES,
@@ -403,17 +405,29 @@ def test_theorem2_skeleton_matches_subdivided_ladder():
         assert nx.is_isomorphic(skeleton, nx.Graph(list(sub.edges)))
 
 
-def test_theorem2_isomorphic_to_corona_of_subdivision():
+# each theorem graph is its base graph with m pendants on every vertex
+CORONA_BASES = {
+    "theorem1": (build_theorem1, ladder,
+                 ((2, 1), (3, 1), (4, 1), (2, 2), (3, 2))),
+    "theorem2": (build_theorem2, lambda n: subdivide(ladder(n)),
+                 ((2, 1), (3, 1), (4, 1), (2, 2), (3, 2))),
+    "theorem3": (build_theorem3, lambda k: subdivide(triangular_snake(k)),
+                 [(k, m) for k in (1, 2, 3) for m in (1, 2, 3)]),
+}
+
+
+@pytest.mark.parametrize("number", CORONA_BASES)
+def test_theorem_isomorphic_to_corona_of_base(number):
     import networkx as nx
-    for n, m in ((2, 1), (3, 1), (4, 1), (2, 2), (3, 2)):
-        built = build_theorem2(n, m)
-        ref = corona_pendants(subdivide(ladder(n)), m)
+    build, base, sizes = CORONA_BASES[number]
+    for a, m in sizes:
+        built = build(a, m)
+        ref = corona_pendants(base(a), m)
         assert (built.p, built.q) == (ref.p, ref.q)
         assert sorted(degree(built, v) for v in range(built.p)) == \
             sorted(degree(ref, v) for v in range(ref.p))
-        if n <= 4:
-            assert nx.is_isomorphic(nx.Graph(list(built.edges)),
-                                    nx.Graph(list(ref.edges)))
+        assert nx.is_isomorphic(nx.Graph(list(built.edges)),
+                                nx.Graph(list(ref.edges)))
 
 
 def test_theorem3_skeleton_isomorphic_to_subdivided_snake():
@@ -688,9 +702,15 @@ def test_package_exports_resolve_without_tag_api():
     # two_coloring and Graph.degree had no caller in the package; the tests
     # keep them in constructions.py
     removed = {"Tag", "U", "V", "W", "Y", "Z", "generic", "parse_tag",
-               "cartesian_product", "subdivide", "two_coloring"}
+               "cartesian_product", "subdivide", "two_coloring",
+               "path_graph", "ladder", "triangular_snake", "corona_pendants"}
     assert not removed & set(oddgraceful.__all__)
     assert not [name for name in removed if hasattr(oddgraceful, name)]
+    # only the tests build paths, ladders, snakes and coronas; the pendant
+    # tag parser and the shared pendant edges went with them
+    assert not [name for name in removed | {"_PENDANT_RE", "_pendant_edges",
+                                            "re"}
+                if hasattr(oddgraceful.graphs, name)]
     assert not hasattr(Graph, "degree")
     # a theorem graph's tags are its IdOrder, read as a sequence: one store
     assert not [name for name in ("tag", "tags") if hasattr(IdOrder, name)]

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from constructions import path_graph
 from oddgraceful import (Graph, build_theorem1, complement_labeling,
                          cycle_graph, is_odd_graceful, label_theorem1,
-                         path_graph, verify_odd_graceful)
+                         verify_odd_graceful)
 from oddgraceful.cli import _THEOREMS, parse_grid
 from oddgraceful.labeling import (DUPLICATE_EDGE_LABEL,
                                   DUPLICATE_VERTEX_LABEL, EDGE_LABEL_EVEN,

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from constructions import degree
+from constructions import (corona_pendants, degree, ladder, path_graph,
+                           triangular_snake)
 from oddgraceful import graphs
 from oddgraceful import (Graph, SearchConfig, build_theorem1, build_theorem2,
-                         build_theorem3, corona_pendants, cycle_graph,
-                         exhaustive_oracle, find_odd_graceful, ladder,
-                         path_graph, triangular_snake, verify_odd_graceful)
+                         build_theorem3, cycle_graph, exhaustive_oracle,
+                         find_odd_graceful, verify_odd_graceful)
 
 
 def corpus():
@@ -241,6 +241,17 @@ def test_zero_time_budget_stops_before_the_first_placement():
     assert (outcome.status, outcome.reason) == ("inconclusive", "time-budget")
     assert outcome.stats.nodes_expanded == 0
     assert outcome.labeling is None
+
+
+def test_huge_time_budget_is_no_limit():
+    # elapsed milliseconds are compared with the int budget, which no
+    # float conversion overflows
+    g = cycle_graph(6)
+    outcome = find_odd_graceful(g, SearchConfig(time_budget_ms=10 ** 400))
+    unlimited = find_odd_graceful(g)
+    assert (outcome.status, outcome.reason) == ("found", None)
+    assert outcome.labeling == unlimited.labeling
+    assert outcome.stats.nodes_expanded == unlimited.stats.nodes_expanded
 
 
 def test_odd_cycle_certified_before_any_search():
