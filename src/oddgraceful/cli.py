@@ -245,7 +245,7 @@ def _load_expected(path: str):
     ValueError on a row that names no theorem, has a non-integer size or
     holds a verdict the sweep cannot emit."""
     expected = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a BOM is skipped
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines or lines[0] != "family,n_or_k,m,verdict":
         raise ValueError("expected table needs header family,n_or_k,m,verdict")

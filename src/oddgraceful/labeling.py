@@ -7,20 +7,19 @@ odd-graceful when the vertex labels are pairwise distinct values in
 [0, max_label(q)], where max_label(q) = max(2q-1, 0), and the induced edge
 labels are exactly the odd numbers {1, 3, ..., 2q-1}.
 
-The definition is written once, as one scan that yields each violation as
-it is seen, in three phases: vertex kinds, edge kinds, then missing odd edge
-labels in ascending order.  verify_odd_graceful runs it to the end and
-reports every violation in a canonical order (kind, then involved ids) so
-reports diff cleanly across sweep runs; is_odd_graceful stops at the first,
-and first_violation once no later violation can sort first.  Labelings may
-be partial; unlabeled vertices become MissingVertexLabel violations, but a
-labeling whose length is not the vertex count raises ValueError.
+The definition is written once, as one scan that yields every violation in
+the report's canonical order: by kind in KIND_ORDER, then by involved ids,
+so reports diff cleanly across sweep runs.  verify_odd_graceful reads it to
+the end, is_odd_graceful stops at the first violation, and first_violation
+at the first other than MissingVertexLabel.  Labelings may be partial;
+unlabeled vertices become MissingVertexLabel violations, but a labeling
+whose length is not the vertex count raises ValueError.
 """
 
 from __future__ import annotations
 
 from itertools import compress
-from operator import not_
+from operator import itemgetter, not_
 from typing import List, NamedTuple, Optional, Tuple
 
 from .canon import canonical_dumps
@@ -43,8 +42,6 @@ KIND_ORDER = (
     DUPLICATE_EDGE_LABEL,
     MISSING_ODD_EDGE_LABEL,
 )
-_KIND_RANK = {kind: i for i, kind in enumerate(KIND_ORDER)}
-_KIND_PHASE = dict(zip(KIND_ORDER, (0, 0, 0, 1, 1, 2)))  # see _violations
 
 
 class Violation(NamedTuple):
@@ -59,10 +56,6 @@ class Violation(NamedTuple):
     vertex_ids: Tuple[int, ...] = ()
     edge_ids: Tuple[Tuple[int, int], ...] = ()
     label: Optional[int] = None
-
-    def sort_key(self):
-        return (_KIND_RANK[self.kind], self.vertex_ids, self.edge_ids,
-                -1 if self.label is None else self.label)
 
     def short(self, g: Graph) -> str:
         """Compact comma-free rendering used in sweep CSV cells.
@@ -129,20 +122,23 @@ def max_label(q: int) -> int:
 
 
 def _violations(g: Graph, labels: Labeling):
-    """Yield each violated odd-graceful condition as soon as it is seen.
+    """Yield each violated odd-graceful condition, in the report's order.
 
-    Readers rely on the three phases: every vertex kind, every edge kind,
-    then MissingOddEdgeLabel by ascending label (ranks 0-2, 3-4, 5).
-    A repeated vertex or edge value is yielded once, with its first two
-    holders.  Out-of-range and duplicate vertex labels still give their
-    edges a value, so the scan is exhaustive when run to the end.  The
-    first holder of each in-range value sits in a list indexed by value and
-    of any other value in a dict, so nothing is sized by a label's value.
+    MissingVertexLabel and EdgeLabelEven are yielded as their pass meets
+    them, in id order (g.edges is sorted).  Out-of-range labels wait for the
+    end of the vertex pass, and each pass's repeated values for the end of
+    that pass, where they are yielded once per value with its first two
+    holders, by first holder.  MissingOddEdgeLabel follows by ascending
+    label.  Out-of-range and duplicate vertex labels still give their edges
+    a value, so the scan is exhaustive when run to the end.  The first
+    holder of each in-range value sits in a list indexed by value and of any
+    other value in a dict, so nothing is sized by a label's value.
     """
     _check_labeling(g, labels)
     top = max_label(g.q)
 
-    vertex_first, vertex_other, repeated = [None] * (top + 1), {}, set()
+    vertex_first, vertex_other, repeats = [None] * (top + 1), {}, {}
+    out_of_range = []
     for v, x in enumerate(labels):
         if x is None:
             yield Violation(MISSING_VERTEX_LABEL, vertex_ids=(v,))
@@ -153,17 +149,17 @@ def _violations(g: Graph, labels: Labeling):
                 vertex_first[x] = v
                 continue
         else:
-            yield Violation(VERTEX_LABEL_OUT_OF_RANGE, vertex_ids=(v,),
-                            label=x)
+            out_of_range.append(Violation(VERTEX_LABEL_OUT_OF_RANGE,
+                                          vertex_ids=(v,), label=x))
             held = vertex_other.setdefault(x, v)
             if held == v:
                 continue
-        if x not in repeated:
-            repeated.add(x)
-            yield Violation(DUPLICATE_VERTEX_LABEL, vertex_ids=(held, v),
-                            label=x)
+        repeats.setdefault(x, (held, v))
+    yield from out_of_range
+    for x, pair in sorted(repeats.items(), key=itemgetter(1)):
+        yield Violation(DUPLICATE_VERTEX_LABEL, vertex_ids=pair, label=x)
 
-    edge_first, edge_other, repeated = [None] * (top + 1), {}, set()
+    edge_first, edge_other, repeats = [None] * (top + 1), {}, {}
     for e in g.edges:
         a, b = e
         x, y = labels[a], labels[b]
@@ -181,9 +177,9 @@ def _violations(g: Graph, labels: Labeling):
             held = edge_other.setdefault(d, e)
             if held == e:
                 continue
-        if d not in repeated:
-            repeated.add(d)
-            yield Violation(DUPLICATE_EDGE_LABEL, edge_ids=(held, e), label=d)
+        repeats.setdefault(d, (held, e))
+    for d, pair in sorted(repeats.items(), key=itemgetter(1)):
+        yield Violation(DUPLICATE_EDGE_LABEL, edge_ids=pair, label=d)
 
     # an edge is a non-empty tuple, so not_ is true exactly at unheld values
     for odd in compress(range(1, top + 1, 2), map(not_, edge_first[1::2])):
@@ -197,9 +193,8 @@ def verify_odd_graceful(g: Graph, labels: Labeling) -> VerificationReport:
     is in range, so a one-vertex graph labeled 0 passes vacuously and
     nothing larger can.  Time is linear in p + q.
     """
-    violations = sorted(_violations(g, labels), key=Violation.sort_key)
-    return VerificationReport(ok=not violations, q=g.q,
-                              violations=tuple(violations))
+    violations = tuple(_violations(g, labels))
+    return VerificationReport(ok=not violations, q=g.q, violations=violations)
 
 
 def is_odd_graceful(g: Graph, labels: Labeling) -> bool:
@@ -210,19 +205,13 @@ def is_odd_graceful(g: Graph, labels: Labeling) -> bool:
 
 def first_violation(g: Graph, labels: Labeling):
     """(ok, first violation other than MissingVertexLabel, or None) of
-    verify_odd_graceful's report: the scan is read to the end of the first
-    phase with one (phases sort in order) or to the first missing odd label."""
-    ok, held = True, []  # such violations of the first phase that has any
+    verify_odd_graceful's report: the scan, read up to that violation."""
+    ok = True
     for v in _violations(g, labels):
+        if v.kind != MISSING_VERTEX_LABEL:
+            return False, v
         ok = False
-        if v.kind == MISSING_VERTEX_LABEL:
-            continue
-        if held and _KIND_PHASE[v.kind] > _KIND_PHASE[held[0].kind]:
-            break
-        held.append(v)
-        if v.kind == MISSING_ODD_EDGE_LABEL:
-            break
-    return ok, min(held, key=Violation.sort_key, default=None)
+    return ok, None
 
 
 def complement_labeling(g: Graph, labels: Labeling) -> Labeling:

@@ -171,6 +171,8 @@ def find_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()
     """
     if g.p == 0:
         raise ValueError("cannot search the empty graph")
+    # through SearchConfig's checks, so a plain pair is checked too
+    node_budget, time_budget_ms = SearchConfig._make(cfg)
     t0 = perf_counter()
     adj = g.adjacency()
     walk = _walk(g, sorted(range(g.p), key=lambda v: -len(adj[v])))
@@ -179,7 +181,6 @@ def find_odd_graceful(g: Graph, cfg: SearchConfig = SearchConfig()
             "none", SearchStats(0, 0, int((perf_counter() - t0) * 1000), 0))
     order, _, components = walk
     earlier, closes, twin = _placement_tables(g, order)
-    node_budget, time_budget_ms = cfg
     p = g.p
     top = max_label(g.q)
     full = (1 << (top + 1)) - 1

@@ -498,6 +498,25 @@ def test_sweep_search_on_fail_policy(tmp_path, capsys):
     assert rows[("theorem3", "2", "1")][8] == "2000"
 
 
+def test_sweep_search_always_policy(tmp_path, capsys):
+    # every row searches unless q > 30; the node budget stops t3(2,1)
+    out = tmp_path / "sweep.csv"
+    code, _, _ = run(capsys, "sweep", "--grid",
+                     "theorem1:n=2..3,m=1;theorem1:n=10,m=1;theorem3:k=2,m=1",
+                     "--search-policy", "always", "--max-nodes", "2000",
+                     "--out", str(out))
+    assert code == 0
+    rows = [ln.split(",")[:-1] for ln in out.read_text().splitlines()[1:]]
+    assert rows == [
+        ["theorem1", "2", "1", "8", "8", "pass", "", "found", "25"],
+        ["theorem1", "3", "1", "12", "13", "pass", "", "found", "383"],
+        ["theorem1", "10", "1", "40", "48", "fail", "DuplicateEdgeLabel(7)",
+         "skipped", "0"],
+        ["theorem3", "2", "1", "22", "23", "partial(1)",
+         "DuplicateEdgeLabel(21)", "inconclusive", "2000"],
+    ]
+
+
 def test_sweep_expected_table(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     table = tmp_path / "expected.csv"
@@ -513,6 +532,13 @@ def test_sweep_expected_table(tmp_path, capsys):
                        "--search-policy", "never", "--out", str(out),
                        "--expected", str(table))
     assert code == 1 and "mismatch" in err
+    # a byte-order mark, as spreadsheet programs save "CSV UTF-8"
+    table.write_bytes(b"\xef\xbb\xbffamily,n_or_k,m,verdict\n"
+                      b"theorem2,2,1,fail\ntheorem2,3,1,pass\n")
+    code, _, err = run(capsys, "sweep", "--grid", "theorem2:n=2..3,m=1",
+                       "--search-policy", "never", "--out", str(out),
+                       "--expected", str(table))
+    assert code == 0 and err == ""
 
 
 def test_sweep_rejects_repeated_expected_row(tmp_path, capsys):

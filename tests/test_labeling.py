@@ -22,6 +22,8 @@ from oddgraceful.labeling import (DUPLICATE_EDGE_LABEL,
                                   first_violation, labeling_from_json_obj,
                                   labeling_to_json)
 
+from test_graphs import LARGE_INSTANCES
+
 
 def test_p2_passes():
     report = verify_odd_graceful(path_graph(2), [0, 1])
@@ -302,12 +304,16 @@ AUDIT_GRID = ("theorem1:n=2..100,m=1..5;theorem2:n=2..50,m=1..5;"
 
 
 def test_first_violation_agrees_with_report_on_audit_grid():
-    for number, a, m in sorted(set(parse_grid(AUDIT_GRID))):
+    # the large instances put the reference on reports of thousands of
+    # violations: 30,138 for literal t1(2000,30), 4,487 for t2(1000,20)
+    for number, a, m in sorted(set(parse_grid(AUDIT_GRID))) + LARGE_INSTANCES:
         _, build, label, _ = _THEOREMS[number]
         g = build(a, m)
         for repairs in (False, True):
             labels, _ = label(a, m, apply_repairs=repairs)
             report = verify_odd_graceful(g, labels)
+            assert report == _reference_verify(g, labels), (
+                number, a, m, repairs)
             assert first_violation(g, labels) == _ok_and_first_of(report), (
                 number, a, m, repairs)
 
@@ -332,7 +338,9 @@ def test_complement_on_found_cycle_labeling():
 
 def _reference_verify(g, labels):
     """The dict-based verifier the list-indexed one replaced, kept as the
-    definition of the report: every violation, witness and order."""
+    definition of the report: every violation, witness and order.  The
+    order is its own sort, by kind in KIND_ORDER, vertex ids, edge ids,
+    then label, not the scan's."""
     q = g.q
     max_label = 2 * q - 1 if q > 0 else 0
     violations = []
@@ -378,7 +386,9 @@ def _reference_verify(g, labels):
         if odd not in edge_first:
             violations.append(Violation(MISSING_ODD_EDGE_LABEL, label=odd))
 
-    violations.sort(key=Violation.sort_key)
+    violations.sort(key=lambda v: (KIND_ORDER.index(v.kind), v.vertex_ids,
+                                   v.edge_ids,
+                                   -1 if v.label is None else v.label))
     return VerificationReport(ok=not violations, q=q,
                               violations=tuple(violations))
 

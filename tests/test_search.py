@@ -224,6 +224,10 @@ def test_negative_budgets_rejected():
         SearchConfig(time_budget_ms=-1)
     with pytest.raises(ValueError, match="time_budget_ms"):
         SearchConfig(None, -1)  # positional fields are checked too
+    for cfg, name in [((-1, None), "node_budget"),
+                      ((None, -1), "time_budget_ms")]:
+        with pytest.raises(ValueError, match=name):  # a plain pair too
+            find_odd_graceful(cycle_graph(4), cfg)
 
 
 @pytest.mark.parametrize("value", [True, False, 2.5, 10.0, "10"])
@@ -233,6 +237,9 @@ def test_non_int_budgets_rejected(name, value):
         SearchConfig(**{name: value})
     with pytest.raises(ValueError, match=name):
         SearchConfig()._replace(**{name: value})
+    pair = (value, None) if name == "node_budget" else (None, value)
+    with pytest.raises(ValueError, match=name):
+        find_odd_graceful(cycle_graph(4), pair)
 
 
 def test_zero_time_budget_stops_before_the_first_placement():
