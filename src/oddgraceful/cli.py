@@ -46,7 +46,8 @@ SWEEP_DEFAULT_NODE_BUDGET = 100_000
 
 def _load_json(path: str):
     """The JSON in the file at path: the one place that parses file text.
-    A key repeated in one object is rejected, not read as its last value."""
+    A key repeated in one object is rejected, not read as its last value;
+    every parse error names the file."""
     def unique_keys(pairs):
         obj = dict(pairs)
         if len(obj) < len(pairs):
@@ -62,6 +63,8 @@ def _load_json(path: str):
             return json.load(fh, object_pairs_hook=unique_keys)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def _load_graph(path: str) -> Graph:

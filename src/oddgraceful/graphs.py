@@ -28,8 +28,8 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from itertools import chain, islice, repeat, starmap
-from operator import eq, ge, itemgetter
+from itertools import chain, islice, repeat
+from operator import eq
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .canon import canonical_dumps, sha256_hex
@@ -73,17 +73,16 @@ class Graph:
     """Immutable undirected graph over dense vertex ids 0..p-1 with tags.
 
     Edges are stored with the smaller id first and sorted lexicographically;
-    edges given as exact tuples already in that orientation are kept as
-    given, not copied.  Construction rejects, with ValueError, a tag that is
-    not a non-empty exact str or repeats an earlier one, then an edge that
-    is not a pair, an endpoint that is not an exact int (a bool, say), a
-    self-loop, an endpoint that is not a declared vertex and a duplicate
+    each edge given as an exact tuple already in that orientation is kept
+    as given, not copied.  Construction rejects, with ValueError, a tag that
+    is not a non-empty exact str or repeats an earlier one, then an edge
+    that is not a pair, an endpoint that is not an exact int (a bool, say),
+    a self-loop, an endpoint that is not a declared vertex and a duplicate
     edge, then a family that is neither None nor a Family; the message names
     the first offending tag in id order, or edge in input order.  The edge
-    checks run as whole-list passes, so they cost a few C-level scans and
-    one sort of the edge list, after which duplicates are neighbors.  The
-    adjacency and the canonical JSON text are each computed on first use
-    and kept.
+    checks are one loop over the edges and one sort, after which duplicates
+    are neighbors.  The adjacency and the canonical JSON text are each
+    computed on first use and kept.
 
     tags is a sequence of strings, kept as a tuple, or a theorem graph's
     IdOrder, which formats the tags on each read and keeps none: all of
@@ -98,7 +97,7 @@ class Graph:
             tags = tuple(tags)
             _check_tags(tags)
         self._tags, self.p = tags, len(tags)
-        self.edges = tuple(_sorted_edges(list(edges), self.p))
+        self.edges = tuple(_sorted_edges(edges, self.p))
         if family is not None and not isinstance(family, Family):
             raise ValueError(f"graph family {family!r} is not a Family")
         self.family = family
@@ -258,7 +257,8 @@ def _reject_unknown_keys(obj: dict, known, where: str) -> None:
 
 
 def _is_int(x) -> bool:
-    """The one int rule: exactly an int, as the bulk type passes check."""
+    """The one int rule: exactly an int.  The edge loop and the bulk type
+    pass of labeling._check_labeling write it inline, for speed."""
     return type(x) is int
 
 
@@ -279,59 +279,53 @@ def _check_tags(tags: tuple) -> None:
         seen.add(text)
 
 
-def _sorted_edges(edges: list, p: int) -> list:
+def _sorted_edges(edges: Iterable, p: int) -> list:
     """The edges as (smaller id, larger id) pairs, sorted.
 
-    Whole-list passes check that every edge is a pair, every endpoint an
-    int in 0..p-1 and that no edge is a self-loop or a duplicate; if one
-    fails, _raise_first_bad_edge names the edge.  When every edge is
-    already an exact tuple (a, b) with a < b, as the builders emit them,
-    the input tuples are kept, so the graph holds no second copy of its
-    edges; otherwise each edge is rebuilt as a plain oriented tuple.
-    Duplicates are found by comparing neighbors after the sort.
+    One loop checks each edge in input order, in the order of the messages:
+    a pair, endpoints that are exact ints, no self-loop, declared vertices.
+    An edge that is already an exact tuple (a, b) with a < b, as the
+    builders emit them, is kept, so the graph holds no second copy of its
+    edges; any other edge is rebuilt in place as a plain oriented tuple.
+    Duplicates are neighbors after the sort, and are named in input order
+    by _raise_first_repeat, also when a later edge fails first.
     """
-    try:  # an edge that is not iterable, or not a pair, raises here
-        if set(map(type, chain.from_iterable(edges))) <= {int}:
-            kept = (set(map(type, edges)) <= {tuple}
-                    and not any(starmap(ge, edges)))  # so no self-loop
-            pairs = sorted(edges) if kept else sorted(
-                (a, b) if a < b else (b, a) for a, b in edges)
-            if not pairs or (pairs[0][0] >= 0
-                             and max(map(itemgetter(1), pairs)) < p
-                             and (kept or not any(starmap(eq, pairs)))
-                             and not any(map(eq, pairs,
-                                             islice(pairs, 1, None)))):
-                return pairs
-    except (TypeError, ValueError):
-        pass
-    _raise_first_bad_edge(edges, p)
-
-
-def _raise_first_bad_edge(edges: list, p: int) -> None:
-    """Raise ValueError for the first edge in input order that is not a
-    pair, or has an endpoint that is not an int, a self-loop, an undeclared
-    vertex or an earlier copy, checked in that order.  Called only after a
-    whole-list check in _sorted_edges failed, so some edge always raises."""
-    seen = set()
-    for e in edges:
+    pairs = list(edges)
+    for i, e in enumerate(pairs):
         try:
             a, b = e
         except (TypeError, ValueError):
-            raise ValueError(
-                f"edge {e!r} is not a pair of vertex ids") from None
-        if not (_is_int(a) and _is_int(b)):
-            raise ValueError(
-                f"edge ({a!r},{b!r}) has an endpoint that is not an int")
-        if a == b:
-            raise ValueError(f"self-loop at vertex {a}")
-        if not (0 <= a < p and 0 <= b < p):
-            raise ValueError(
-                f"edge ({a},{b}) references an undeclared vertex")
-        e = (a, b) if a < b else (b, a)
+            message = f"edge {e!r} is not a pair of vertex ids"
+        else:
+            if type(a) is not int or type(b) is not int:
+                message = (f"edge ({a!r},{b!r}) has an endpoint"
+                           " that is not an int")
+            elif a == b:
+                message = f"self-loop at vertex {a}"
+            elif not (0 <= a < p and 0 <= b < p):
+                message = f"edge ({a},{b}) references an undeclared vertex"
+            else:
+                if b < a:
+                    pairs[i] = (b, a)
+                elif type(e) is not tuple:
+                    pairs[i] = (a, b)
+                continue
+        _raise_first_repeat(pairs, i)
+        raise ValueError(message)
+    ordered = sorted(pairs)
+    if any(map(eq, ordered, islice(ordered, 1, None))):
+        _raise_first_repeat(pairs, len(pairs))
+    return ordered
+
+
+def _raise_first_repeat(pairs: list, end: int) -> None:
+    """Raise ValueError naming the first of the oriented edges pairs[:end],
+    in input order, that repeats an earlier one; return if none does."""
+    seen = set()
+    for e in islice(pairs, end):
         if e in seen:
             raise ValueError(f"duplicate edge {e}")
         seen.add(e)
-    raise AssertionError("bulk edge check failed but no edge did")
 
 
 # -- basic constructions ---------------------------------------------------

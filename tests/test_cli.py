@@ -292,9 +292,17 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys):
     gpath, lpath = gen_pair(tmp_path, capsys, 1, "n", 2, 1)
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
-    for argv in (("verify", deep, lpath), ("search", deep), ("export", deep),
-                 ("verify", gpath, deep), ("export", gpath, deep)):
-        assert_one_error_line(*run(capsys, *map(str, argv)))
+    # a truncated file and a byte that is not UTF-8 are named too
+    cut = tmp_path / "cut.json"
+    cut.write_text(lpath.read_text()[:21])
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"edges":[],"\xff":1}')
+    for bad in (deep, cut, latin):
+        for argv in (("verify", bad, lpath), ("search", bad), ("export", bad),
+                     ("verify", gpath, bad), ("export", gpath, bad)):
+            code, out, err = run(capsys, *map(str, argv))
+            assert_one_error_line(code, out, err)
+            assert str(bad) in err
 
 
 def test_repeated_json_key_exits_2(tmp_path, capsys):

@@ -555,6 +555,12 @@ _BAD_EDGE_CASES = [
      "self-loop at vertex 2"),
     (["a", "b", "c"], [(0, 2), (0, 2.0), (9, 9)],
      "edge (0,2.0) has an endpoint that is not an int"),
+    # the first repeat in input order, not the first in sorted order
+    (["a", "b", "c"], [(1, 2), (0, 1), (2, 1), (1, 0)],
+     "duplicate edge (1, 2)"),
+    # a repeat before a bad edge is named first
+    (["a", "b"], [(0, 1), (1, 0), 7], "duplicate edge (0, 1)"),
+    (["a", "b"], [(0, 1), (1, 0), (0, 1.5)], "duplicate edge (0, 1)"),
 ]
 
 
@@ -570,14 +576,20 @@ def test_graph_keeps_oriented_edge_tuples():
     edges = [(1, 2), (0, 2), (0, 1)]
     g = Graph(["a", "b", "c"], edges)
     assert all(map(is_, g.edges, sorted(edges)))
-    # anything else is rebuilt as fresh plain tuples: lists, a reversed
-    # pair (which rebuilds every edge) and a tuple subclass
+    # anything else is rebuilt as fresh plain tuples: lists
+    edges = [[0, 1], [1, 2]]
+    g = Graph(["a", "b", "c"], edges)
+    assert g.edges == ((0, 1), (1, 2))
+    assert {type(e) for e in g.edges} == {tuple}
+    assert not any(e is f for e in g.edges for f in edges)
+    # edge by edge: beside a reversed pair or a tuple subclass, which are
+    # rebuilt, an oriented tuple is still kept
     edge = namedtuple("Edge", "a b")
-    for edges in ([[0, 1], [1, 2]], [(0, 1), (2, 1)], [(0, 1), edge(1, 2)]):
+    for edges in ([(0, 1), (2, 1)], [(0, 1), edge(1, 2)]):
         g = Graph(["a", "b", "c"], edges)
         assert g.edges == ((0, 1), (1, 2))
-        assert {type(e) for e in g.edges} == {tuple}
-        assert not any(e is f for e in g.edges for f in edges)
+        assert g.edges[0] is edges[0]
+        assert type(g.edges[1]) is tuple and g.edges[1] is not edges[1]
 
 
 def test_theorem_graph_memory_per_edge():
@@ -667,9 +679,9 @@ def test_graph_edges_match_reference(case):
     tags = [f"v{i}" for i in range(p)]
     message = _reference_edge_check(edges, p)
     if message is None:
-        g = Graph(tags, edges)
-        assert g.edges == tuple(sorted({(min(a, b), max(a, b))
-                                        for a, b in edges}))
+        expected = tuple(sorted({(min(a, b), max(a, b)) for a, b in edges}))
+        assert Graph(tags, edges).edges == expected
+        assert Graph(tags, iter(edges)).edges == expected
     else:
         with pytest.raises(ValueError) as exc:
             Graph(tags, iter(edges))
