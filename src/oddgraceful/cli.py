@@ -46,15 +46,16 @@ SWEEP_DEFAULT_NODE_BUDGET = 100_000
 
 def _load_json(path: str):
     """The JSON in the file at path: the one place that parses file text.
-    A key repeated in one object is rejected, not read as its last value;
-    every parse error names the file."""
+    A key repeated in one object is rejected, not read as its last value.
+    Every parse error, from bad UTF-8 to an int past Python's digit limit,
+    is a ValueError that names the file once."""
     def unique_keys(pairs):
         obj = dict(pairs)
         if len(obj) < len(pairs):
             seen = set()
             for key, _ in pairs:
                 if key in seen:
-                    raise ValueError(f"{path}: JSON key {key!r} repeated")
+                    raise ValueError(f"JSON key {key!r} repeated")
                 seen.add(key)
         return obj
 
@@ -63,7 +64,7 @@ def _load_json(path: str):
             return json.load(fh, object_pairs_hook=unique_keys)
         except RecursionError:
             raise ValueError(f"{path}: JSON nested too deeply") from None
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
 

@@ -161,13 +161,10 @@ class Graph:
 
         Each array is written in blocks of _WRITE_BLOCK entries, each block
         one % format over its own flat tuple: the block's edge endpoints, or
-        its vertex ids interleaved with its tags.  A block's tags are encoded
-        one by one only when encoding them joined adds more than the two
-        quotes, as every escaped character does: on t1(2000,30) encoding each
-        tag took 6.2 ms and checking each block once 3.5 ms (2-CPU machine).
-        A tag that needs no escaping encodes to itself in quotes, so the bytes
-        do not depend on the block size.  A theorem graph's tags are formatted
-        block by block for this write only.  The pieces are joined once."""
+        its vertex ids interleaved with its encoded tags.  Every tag is
+        encoded as json.dumps encodes a str, so the bytes do not depend on
+        the block size.  A theorem graph's tags are formatted block by block
+        for this write only.  The pieces are joined once."""
         encode = json.encoder.encode_basestring_ascii  # as json.dumps does
         pieces = ['{"edges":[']
         for lo in range(0, self.q, _WRITE_BLOCK):
@@ -181,18 +178,12 @@ class Graph:
             if value is not None}
         pieces.append('],"family":' + canonical_dumps(family)[:-1]
                       + ',"vertices":[')
-        tags = iter(self._tags)
+        tags = map(encode, self._tags)
         for lo in range(0, self.p, _WRITE_BLOCK):
             hi = min(lo + _WRITE_BLOCK, self.p)
-            block = tuple(islice(tags, hi - lo))
-            text = "".join(block)
-            if len(encode(text)) == len(text) + 2:
-                entry = '{"id":%d,"tag":"%s"},'
-            else:
-                entry, block = '{"id":%d,"tag":%s},', list(map(encode, block))
             fields = [None] * (2 * (hi - lo))
-            fields[::2], fields[1::2] = range(lo, hi), block
-            pieces.append(entry * (hi - lo) % tuple(fields))
+            fields[::2], fields[1::2] = range(lo, hi), islice(tags, hi - lo)
+            pieces.append('{"id":%d,"tag":%s},' * (hi - lo) % tuple(fields))
         if self.p:
             pieces[-1] = pieces[-1][:-1]
         pieces.append("]}\n")
@@ -209,12 +200,12 @@ class Graph:
 
         Checks only the document's shape: 'vertices' and 'edges' arrays,
         vertex entries objects with dense int ids (bools and floats are
-        rejected), edges arrays and 'family' absent, null or an object,
-        whose n, k and m may be absent.  The document, each vertex entry
-        and the family object hold no key that the writer does not write.
-        Graph and Family check the tags, that each edge is a pair of int
-        endpoints and the family's fields, as for any graph.  Tags are kept
-        exactly as written.
+        rejected) and 'family' absent, null or an object, whose n, k and m
+        may be absent.  The document, each vertex entry and the family
+        object hold no key that the writer does not write.  Graph and
+        Family check the tags, the edges and the family's fields, as for
+        any graph, so an edge that is not an array of two ints is named as
+        the constructor names it.  Tags are kept exactly as written.
         """
         if not isinstance(obj, dict):
             raise ValueError("graph document must be a JSON object")
@@ -232,9 +223,6 @@ class Graph:
             if not _is_int(entry.get("id")) or entry["id"] != i:
                 raise ValueError("vertex ids must be dense 0..p-1 in order")
             tags.append(entry.get("tag"))
-        for e in edges:
-            if not isinstance(e, list):
-                raise ValueError(f"edge {e!r} is not a pair of vertex ids")
         family = obj.get("family")
         if family is not None:
             if not isinstance(family, dict):
@@ -284,6 +272,9 @@ def _sorted_edges(edges: Iterable, p: int) -> list:
 
     One loop checks each edge in input order, in the order of the messages:
     a pair, endpoints that are exact ints, no self-loop, declared vertices.
+    An edge that is neither a tuple nor a list is a pair only when its two
+    items are exact ints, so a graph file's string or object edge is not
+    read as its characters or keys; only a failing edge pays for that test.
     An edge that is already an exact tuple (a, b) with a < b, as the
     builders emit them, is kept, so the graph holds no second copy of its
     edges; any other edge is rebuilt in place as a plain oriented tuple.
@@ -300,6 +291,8 @@ def _sorted_edges(edges: Iterable, p: int) -> list:
             if type(a) is not int or type(b) is not int:
                 message = (f"edge ({a!r},{b!r}) has an endpoint"
                            " that is not an int")
+                if not isinstance(e, (tuple, list)):
+                    message = f"edge {e!r} is not a pair of vertex ids"
             elif a == b:
                 message = f"self-loop at vertex {a}"
             elif not (0 <= a < p and 0 <= b < p):

@@ -23,7 +23,7 @@ from operator import itemgetter, not_
 from typing import List, NamedTuple, Optional, Tuple
 
 from .canon import canonical_dumps
-from .graphs import Graph, _is_int, _reject_unknown_keys
+from .graphs import Graph, _reject_unknown_keys
 
 Labeling = List[Optional[int]]
 
@@ -108,9 +108,9 @@ def _check_labeling(g: Graph, labels: Labeling) -> None:
     if len(labels) != g.p:
         raise ValueError(f"{len(labels)} labels for {g.p} vertices: a "
                          "labeling's length is the vertex count")
-    if not set(map(type, labels)) <= {int, type(None)}:
-        v = next(v for v, x in enumerate(labels)
-                 if x is not None and not _is_int(x))
+    bad = set(map(type, labels)) - {int, type(None)}
+    if bad:
+        v = next(v for v, x in enumerate(labels) if type(x) in bad)
         raise ValueError(
             f"vertex {v} has label {labels[v]!r}, not an int or None")
 

@@ -297,7 +297,10 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys):
     cut.write_text(lpath.read_text()[:21])
     latin = tmp_path / "latin.json"
     latin.write_bytes(b'{"edges":[],"\xff":1}')
-    for bad in (deep, cut, latin):
+    # and an int longer than Python converts from a string
+    big = tmp_path / "big.json"
+    big.write_text("[" + "1" * 5000 + "]")
+    for bad in (deep, cut, latin, big):
         for argv in (("verify", bad, lpath), ("search", bad), ("export", bad),
                      ("verify", gpath, bad), ("export", gpath, bad)):
             code, out, err = run(capsys, *map(str, argv))
@@ -318,14 +321,16 @@ def test_repeated_json_key_exits_2(tmp_path, capsys):
     assert labels_text.endswith("}\n")
     bad_labels = tmp_path / "bad-labels.json"
     bad_labels.write_text(labels_text[:-2] + ',"labels":[]}\n')
-    for argv, key in ((("export", bad_graph, "--format", "json"), "edges"),
-                      (("verify", bad_graph, lpath), "edges"),
-                      (("search", bad_graph), "edges"),
-                      (("verify", gpath, bad_labels), "labels"),
-                      (("export", gpath, bad_labels), "labels")):
+    for argv, bad, key in (
+            (("export", bad_graph, "--format", "json"), bad_graph, "edges"),
+            (("verify", bad_graph, lpath), bad_graph, "edges"),
+            (("search", bad_graph), bad_graph, "edges"),
+            (("verify", gpath, bad_labels), bad_labels, "labels"),
+            (("export", gpath, bad_labels), bad_labels, "labels")):
         code, out, err = run(capsys, *map(str, argv))
         assert_one_error_line(code, out, err)
         assert f"JSON key {key!r} repeated" in err
+        assert err.count(str(bad)) == 1
 
 
 def test_search_found_and_none_and_budget(tmp_path, capsys):

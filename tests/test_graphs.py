@@ -542,6 +542,11 @@ _BAD_EDGE_CASES = [
     (["a", "b"], [(0, 1, 2)], "edge (0, 1, 2) is not a pair of vertex ids"),
     (["a", "b"], [(0, 1), (1,)], "edge (1,) is not a pair of vertex ids"),
     (["a", "b"], [(0, 1), 7], "edge 7 is not a pair of vertex ids"),
+    # two items that are not ints, in an edge that is neither a tuple nor a
+    # list: a graph file's string or object is not a pair
+    (["a", "b"], ["ab"], "edge 'ab' is not a pair of vertex ids"),
+    (["a", "b"], [{"a": 0, "b": 1}],
+     "edge {'a': 0, 'b': 1} is not a pair of vertex ids"),
     (["a", "b"], [(0, 1), (0, 1.5), (0, 1, 1)],
      "edge (0,1.5) has an endpoint that is not an int"),
     (["a", "b"], [(0, 2), [0, 1, 1]],
@@ -640,6 +645,8 @@ def _reference_edge_check(edges, p):
             return f"edge {e!r} is not a pair of vertex ids"
         a, b = e
         if type(a) is not int or type(b) is not int:
+            if not isinstance(e, (tuple, list)):
+                return f"edge {e!r} is not a pair of vertex ids"
             return f"edge ({a!r},{b!r}) has an endpoint that is not an int"
         if a == b:
             return f"self-loop at vertex {a}"
@@ -655,7 +662,8 @@ def _reference_edge_check(edges, p):
 @st.composite
 def edge_lists(draw):
     """Shuffled simple edge lists with randomly reversed pairs, and with a
-    few bad edges (some not pairs) mixed in when bad is drawn."""
+    few bad edges (some not pairs, some two-character strings or two-key
+    objects, as a graph file may hold) mixed in when bad is drawn."""
     p = draw(st.integers(min_value=1, max_value=8))
     pairs = [(a, b) for a in range(p) for b in range(a + 1, p)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12)
@@ -665,8 +673,11 @@ def edge_lists(draw):
         end = st.integers(min_value=-2, max_value=p + 1) | st.sampled_from(
             [True, False, 1.0, 0.5])
         bad = draw(st.lists(st.tuples(end, end) | st.tuples(end)
-                            | st.tuples(end, end, end), min_size=1,
-                            max_size=3))
+                            | st.tuples(end, end, end)
+                            | st.text(min_size=2, max_size=2)
+                            | st.dictionaries(st.text(max_size=1), end,
+                                              min_size=2, max_size=2),
+                            min_size=1, max_size=3))
         edges += bad + draw(st.lists(st.sampled_from(edges), max_size=2)
                             if edges else st.just([]))
     return p, draw(st.permutations(edges))
@@ -929,8 +940,8 @@ def test_graph_loader_names_an_edge_that_is_not_a_pair(edge):
 
 
 def test_graph_rejects_a_str_subclass_tag():
-    # to_json writes tags through %s, which calls __str__, so such a tag
-    # would be written as "other"; the constructor admits exact strs only
+    # such a tag prints as "other" but is encoded as "a", so a file would
+    # not say what the graph prints; the constructor admits exact strs only
     class Other(str):
         def __str__(self):
             return "other"
@@ -1174,8 +1185,9 @@ def test_sha256_hex_hashes_the_whole_encoding(n):
     for at in sorted({0, _WRITE_BLOCK, p - 1}) if at < p])
 @pytest.mark.parametrize("bad", ['a"b', "\u00e9"])
 def test_escaping_is_decided_per_block(p, at, bad):
-    # a block whose tags need no escaping is written as is and one with an
-    # escaping tag tag by tag, with the same bytes either way
+    # every tag is encoded: one that needs escaping, in the first, a later
+    # or the last block, is written as json.dumps writes it, and so is
+    # every tag around it
     tags = [f"v{i}" for i in range(p)]
     tags[at] = bad
     g = _graph_with_sizes(p, p - 1, tags)
